@@ -63,17 +63,32 @@ class StackEngineError(ValueError):
     """The policy or stream cannot be replayed by the stack engine."""
 
 
-#: Static victim-priority key per policy, applied at insertion time.
-#: Heap order (key ascending, then per-capacity insertion sequence) must
-#: equal the DES's stable sort on (rank descending, residency order) --
-#: each policy's rank is a monotone transform of its key at any instant.
-_KEY_FUNCS = {
-    "lru": lambda sz, t: t,
-    "fifo": lambda sz, t: t,
-    "largest-first": lambda sz, t: -sz,
-    "smallest-first": lambda sz, t: sz,
-    "mru": lambda sz, t: -t,
-}
+#: Heap entries pack a victim-priority key and an insertion sequence
+#: number into one int, ``key << _SEQ_BITS | seq``: the heaps then compare
+#: plain ints instead of tuples, which is most of what they spend time on.
+_SEQ_BITS = 48
+_SEQ_MASK = (1 << _SEQ_BITS) - 1
+_MAGNITUDE = (1 << 63) - 1
+
+
+def _event_keys(policy_name: str, batch: EventBatch) -> List[int]:
+    """Static victim-priority key of each event's file, as ints.
+
+    Heap order (key ascending, then insertion sequence) must equal the
+    DES's stable sort on (rank descending, residency order) -- each
+    policy's rank is a monotone transform of its key at any instant.
+    Times become ints through their IEEE-754 bit patterns read as
+    sign-magnitude, an order-preserving map that keeps -0.0 == 0.0.
+    """
+    if policy_name == "largest-first":
+        return (-batch.size.astype(np.int64)).tolist()
+    if policy_name == "smallest-first":
+        return batch.size.astype(np.int64).tolist()
+    bits = np.ascontiguousarray(batch.time, dtype=np.float64).view(np.int64)
+    keys = np.where(bits < 0, -(bits & _MAGNITUDE), bits)
+    if policy_name == "mru":
+        keys = -keys
+    return keys.tolist()
 
 
 def supports_policy(policy_name: str) -> bool:
@@ -157,24 +172,28 @@ class _MultiCapacityReplay:
         # pushes eagerly and stale duplicates are dropped on pop.
         self.lazy_refresh = policy_name == "lru"
         self.eager_touch = policy_name == "mru"
-        self._key = _KEY_FUNCS[policy_name]
-
-        # Shared per-file state, indexed by file id.
+        # Shared per-file state, indexed by file id.  ``_last`` holds the
+        # key of the file's latest access (see :func:`_event_keys`).
         self._size: List[int] = []
-        self._last: List[float] = []
+        self._last: List[int] = []
         self._res: List[int] = []
         self._dirty: List[int] = []
         self._ver: List[int] = []
 
         self.usage = [0] * k
         self.heaps: List[list] = [[] for _ in range(k)]
-        # stints[k][fid]: the per-capacity insertion sequence number of
-        # the file's current residency stint, or -1 when not resident.
+        # stints[k][fid]: the insertion sequence number of the file's
+        # current residency stint at capacity k, or -1 when not resident.
         # Fid-indexed lists, not dicts: the stint check runs once per
-        # heap pop, which is the engine's hottest read.
+        # heap pop, which is the engine's hottest read.  One counter
+        # serves every capacity: it grows with stream order, so at each
+        # capacity it orders stints exactly as insertion order does.
         self.stints: List[List[int]] = [[] for _ in range(k)]
-        self.seqs = [0] * k
-        self.resident_counts = [0] * k
+        #: seq_fid[seq]: the file of insertion ``seq`` (so heap entries
+        #: need carry only the key and the sequence number).
+        self.seq_fid: List[int] = []
+        #: Capacity indices of each residency mask seen so far, in order.
+        self._bit_indices: Dict[int, List[int]] = {}
 
         # Shared counters (identical at every capacity).
         self.reads_total = 0
@@ -186,9 +205,9 @@ class _MultiCapacityReplay:
         # counter bump per capacity.
         self.hit_by_mask: Dict[int, int] = {}
         self.absorb_by_mask: Dict[int, int] = {}
+        self.staged_by_mask: Dict[int, int] = {}  # mask -> miss bytes
         self.flush_by_mask: Dict[int, list] = {}  # mask -> [count, bytes]
         # Direct per-capacity counters (miss-path only, so cheap).
-        self.staged_bytes = [0] * k
         self.evictions = [0] * k
         self.bytes_evicted = [0] * k
         self.forced_flushes = [0] * k
@@ -215,7 +234,7 @@ class _MultiCapacityReplay:
         need = max_fid + 1 - len(self._size)
         if need > 0:
             self._size.extend([0] * need)
-            self._last.extend([0.0] * need)
+            self._last.extend([0] * need)
             self._res.extend([0] * need)
             self._dirty.extend([0] * need)
             self._ver.extend([0] * need)
@@ -249,19 +268,15 @@ class _MultiCapacityReplay:
             self.first_time = float(ts[0])
         self.last_time = float(ts[-1])
 
-        oversized = int(sizes_np.max()) > self.caps[0]
-        if oversized or self.eager_touch:
-            lvls = (
-                np.searchsorted(self.caps_arr, sizes_np, side="left").tolist()
-                if oversized
-                else [0] * n
-            )
+        keys = _event_keys(self.policy_name, batch)
+        if int(sizes_np.max()) > self.caps[0]:
             self._feed_general(
                 batch.file_id.tolist(),
                 sizes_np.tolist(),
                 ts.tolist(),
                 batch.is_write.tolist(),
-                lvls,
+                keys,
+                np.searchsorted(self.caps_arr, sizes_np, side="left").tolist(),
             )
         else:
             self._feed_fast(
@@ -269,6 +284,7 @@ class _MultiCapacityReplay:
                 sizes_np.tolist(),
                 ts.tolist(),
                 batch.is_write.tolist(),
+                keys,
             )
 
     def _feed_fast(
@@ -277,10 +293,11 @@ class _MultiCapacityReplay:
         szs: List[int],
         ts: List[float],
         ws: List[bool],
+        keys: List[int],
     ) -> None:
-        """Hot loop for batches with no oversized files (the normal case)
-        and no eager-touch policy: every event is bypass-free, so the
-        level/bypass bookkeeping drops out entirely."""
+        """Hot loop for batches with no oversized files (the normal case):
+        every event is bypass-free, so the level/bypass bookkeeping drops
+        out entirely.  Staging is :meth:`_insert_bits` inlined."""
         size_l = self._size
         last_l = self._last
         res_l = self._res
@@ -290,19 +307,28 @@ class _MultiCapacityReplay:
         full = self.full_mask
         hit_by_mask = self.hit_by_mask
         absorb_by_mask = self.absorb_by_mask
+        staged_by_mask = self.staged_by_mask
+        eager_touch = self.eager_touch
+        touch = self._touch
         delay = self.delay
         write_through = delay is None
         flush_by_mask = self.flush_by_mask
         push = heapq.heappush
-        insert_bits = self._insert_bits
         flush_due = self._flush_due
+        make_room = self._make_room
+        seq_fid = self.seq_fid
+        usage = self.usage
+        high = self.high
+        stints = self.stints
+        heaps = self.heaps
+        bit_indices = self._bit_indices
         reads = 0
         hits_full = 0
         writes = 0
         bytes_written = 0
         compulsory = 0
 
-        for fid, sz, t, w in zip(fids, szs, ts, ws):
+        for fid, sz, t, w, key in zip(fids, szs, ts, ws, keys):
             if queue and queue[0][0] <= t:
                 flush_due(t)
             sz0 = size_l[fid]
@@ -311,32 +337,27 @@ class _MultiCapacityReplay:
                 if sz0 == 0:
                     size_l[fid] = sz
                     compulsory += 1
-                    last_l[fid] = t
-                    self.staged_all(sz)
-                    insert_bits(fid, sz, t, full)
-                    continue
-                if sz0 != sz:
-                    raise StackEngineError(
-                        f"file {fid} changed size {sz0} -> {sz}; the "
-                        "stack engine requires stable per-file sizes"
-                    )
-                rmask = res_l[fid]
-                if rmask == full:
-                    # The dominant path: resident everywhere, pure hit.
-                    hits_full += 1
-                    last_l[fid] = t
-                    continue
-                if rmask:
-                    hit_by_mask[rmask] = hit_by_mask.get(rmask, 0) + 1
-                last_l[fid] = t
-                miss_bits = full & ~rmask
-                staged = self.staged_bytes
-                mask = miss_bits
-                while mask:
-                    k = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    staged[k] += sz
-                insert_bits(fid, sz, t, miss_bits)
+                    bits = full
+                else:
+                    if sz0 != sz:
+                        raise StackEngineError(
+                            f"file {fid} changed size {sz0} -> {sz}; the "
+                            "stack engine requires stable per-file sizes"
+                        )
+                    rmask = res_l[fid]
+                    if rmask == full:
+                        # The dominant path: resident everywhere, pure hit.
+                        hits_full += 1
+                        last_l[fid] = key
+                        if eager_touch:
+                            touch(fid, key, full)
+                        continue
+                    if rmask:
+                        hit_by_mask[rmask] = hit_by_mask.get(rmask, 0) + 1
+                        if eager_touch:
+                            touch(fid, key, rmask)
+                    bits = full & ~rmask
+                staged_by_mask[bits] = staged_by_mask.get(bits, 0) + sz
             else:
                 writes += 1
                 bytes_written += sz
@@ -353,9 +374,25 @@ class _MultiCapacityReplay:
                     absorb_by_mask[absorb] = (
                         absorb_by_mask.get(absorb, 0) + 1
                     )
-                last_l[fid] = t
-                if rmask != full:
-                    insert_bits(fid, sz, t, full & ~rmask)
+                if eager_touch and rmask:
+                    touch(fid, key, rmask)
+                bits = full & ~rmask
+            last_l[fid] = key
+            if bits:
+                seq = len(seq_fid)
+                seq_fid.append(fid)
+                entry = key << _SEQ_BITS | seq
+                indices = bit_indices.get(bits)
+                if indices is None:
+                    indices = self._indices(bits)
+                for k in indices:
+                    if usage[k] + sz > high[k]:
+                        make_room(k, sz, t)
+                    stints[k][fid] = seq
+                    push(heaps[k], entry)
+                    usage[k] += sz
+                res_l[fid] = full
+            if w:
                 if write_through:
                     # Write-through: the tape copy lands immediately at
                     # every capacity (all cached the file: no bypasses).
@@ -377,21 +414,16 @@ class _MultiCapacityReplay:
         self.bytes_written_total += bytes_written
         self.compulsory_total += compulsory
 
-    def staged_all(self, sz: int) -> None:
-        """Account miss-staged bytes at every capacity."""
-        staged = self.staged_bytes
-        for k in range(self.n_caps):
-            staged[k] += sz
-
     def _feed_general(
         self,
         fids: List[int],
         szs: List[int],
         ts: List[float],
         ws: List[bool],
+        keys: List[int],
         lvls: List[int],
     ) -> None:
-        """Full event loop: oversized-file bypass and MRU eager touches."""
+        """Full event loop, with the oversized-file bypass."""
         size_l = self._size
         last_l = self._last
         res_l = self._res
@@ -402,6 +434,7 @@ class _MultiCapacityReplay:
         eligible = self.eligible
         hit_by_mask = self.hit_by_mask
         absorb_by_mask = self.absorb_by_mask
+        staged_by_mask = self.staged_by_mask
         eager_touch = self.eager_touch
         delay = self.delay
         flush_by_mask = self.flush_by_mask
@@ -409,7 +442,7 @@ class _MultiCapacityReplay:
         insert_bits = self._insert_bits
         flush_due = self._flush_due
 
-        for fid, sz, t, w, lvl in zip(fids, szs, ts, ws, lvls):
+        for fid, sz, t, w, key, lvl in zip(fids, szs, ts, ws, keys, lvls):
             if queue and queue[0][0] <= t:
                 flush_due(t)
             sz0 = size_l[fid]
@@ -428,7 +461,7 @@ class _MultiCapacityReplay:
                 rmask = res_l[fid]
                 if rmask == full and not eager_touch:
                     self.hits_full += 1
-                    last_l[fid] = t
+                    last_l[fid] = key
                     continue
                 if first_touch:
                     self.compulsory_total += 1
@@ -438,17 +471,14 @@ class _MultiCapacityReplay:
                 if rmask:
                     hit_by_mask[rmask] = hit_by_mask.get(rmask, 0) + 1
                     if eager_touch:
-                        self._touch(fid, sz, t, rmask)
-                last_l[fid] = t
+                        self._touch(fid, key, rmask)
+                last_l[fid] = key
                 miss_bits = eligible[lvl] & ~rmask
                 if miss_bits:
-                    staged = self.staged_bytes
-                    mask = miss_bits
-                    while mask:
-                        k = (mask & -mask).bit_length() - 1
-                        mask &= mask - 1
-                        staged[k] += sz
-                    insert_bits(fid, sz, t, miss_bits)
+                    staged_by_mask[miss_bits] = (
+                        staged_by_mask.get(miss_bits, 0) + sz
+                    )
+                    insert_bits(fid, sz, t, key, miss_bits)
             else:
                 self.writes_total += 1
                 self.bytes_written_total += sz
@@ -463,11 +493,11 @@ class _MultiCapacityReplay:
                         absorb_by_mask.get(absorb, 0) + 1
                     )
                 if eager_touch and rmask:
-                    self._touch(fid, sz, t, rmask)
-                last_l[fid] = t
+                    self._touch(fid, key, rmask)
+                last_l[fid] = key
                 miss_bits = can_cache & ~rmask
                 if miss_bits:
-                    insert_bits(fid, sz, t, miss_bits)
+                    insert_bits(fid, sz, t, key, miss_bits)
                 if can_cache:
                     if delay is None:
                         # Write-through: the tape copy lands immediately
@@ -484,41 +514,50 @@ class _MultiCapacityReplay:
                         ver_l[fid] = ver
                         push(queue, (t + delay, fid, ver))
 
-    def _touch(self, fid: int, sz: int, t: float, rmask: int) -> None:
+    def _indices(self, mask: int) -> List[int]:
+        """Capacity indices of the bits set in ``mask``, ascending."""
+        indices = self._bit_indices.get(mask)
+        if indices is None:
+            indices = [k for k in range(self.n_caps) if mask >> k & 1]
+            self._bit_indices[mask] = indices
+        return indices
+
+    def _touch(self, fid: int, key: int, rmask: int) -> None:
         """MRU only: an access raises eviction priority, so the heaps
         need an eager entry per resident capacity."""
-        key = -t
+        base = key << _SEQ_BITS
         heaps = self.heaps
         stints = self.stints
-        while rmask:
-            k = (rmask & -rmask).bit_length() - 1
-            rmask &= rmask - 1
-            heapq.heappush(heaps[k], (key, stints[k][fid], fid, sz))
+        push = heapq.heappush
+        for k in self._indices(rmask):
+            push(heaps[k], base | stints[k][fid])
 
-    def _insert_bits(self, fid: int, sz: int, t: float, bits: int) -> None:
+    def _insert_bits(
+        self, fid: int, sz: int, t: float, key: int, bits: int
+    ) -> None:
         """Stage the file at every capacity in ``bits`` (waves included)."""
-        key = self._key(sz, t)
+        seq_fid = self.seq_fid
+        seq = len(seq_fid)
+        seq_fid.append(fid)
+        # One heap entry serves every capacity's heap.
+        entry = key << _SEQ_BITS | seq
         usage = self.usage
         high = self.high
-        seqs = self.seqs
         stints = self.stints
         heaps = self.heaps
-        counts = self.resident_counts
         push = heapq.heappush
-        make_room = self._make_room
-        newbits = bits
-        while bits:
-            k = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
+        for k in self._indices(bits):
             if usage[k] + sz > high[k]:
-                make_room(k, sz, t)
-            seq = seqs[k]
-            seqs[k] = seq + 1
+                self._make_room(k, sz, t)
             stints[k][fid] = seq
-            push(heaps[k], (key, seq, fid, sz))
+            push(heaps[k], entry)
             usage[k] += sz
-            counts[k] += 1
-        self._res[fid] |= newbits
+        self._res[fid] |= bits
+
+    @property
+    def resident_counts(self) -> List[int]:
+        """Files resident at each capacity (derived from the stints)."""
+        return [len(stints) - stints.count(-1) for stints in self.stints]
 
     # ------------------------------------------------------------------
     # Migration waves
@@ -545,54 +584,63 @@ class _MultiCapacityReplay:
         needed = int(needed)
         heap = self.heaps[k]
         stints = self.stints[k]
+        seq_fid = self.seq_fid
+        size_l = self._size
         last_l = self._last
         res_l = self._res
         dirty_l = self._dirty
         lazy_refresh = self.lazy_refresh
         eager_touch = self.eager_touch
+        seq_bits = _SEQ_BITS
+        seq_mask = _SEQ_MASK
         bit = 1 << k
         notbit = ~bit
         pop = heapq.heappop
         replace = heapq.heapreplace
         freed = 0
-        evicted = 0
+        # Evictions are the pops that were not stale entries.
+        evicted = len(heap)
         forced = 0
         forced_bytes = 0
         while freed < needed and heap:
-            key, seq, fid, sz = heap[0]
+            top = heap[0]
+            seq = top & seq_mask
+            fid = seq_fid[seq]
             if stints[fid] != seq:
                 pop(heap)  # evicted or re-inserted: stale stint
+                evicted -= 1
                 continue
             if lazy_refresh:
                 last = last_l[fid]
-                if last != key:
+                if last != top >> seq_bits:
                     # Re-read since insertion: sink to its true position.
-                    replace(heap, (last, seq, fid, sz))
+                    replace(heap, last << seq_bits | seq)
                     continue
-            elif eager_touch and -key != last_l[fid]:
+            elif eager_touch and top >> seq_bits != last_l[fid]:
                 pop(heap)  # a newer eager entry exists
+                evicted -= 1
                 continue
             pop(heap)
+            sz = size_l[fid]
             stints[fid] = -1
             res_l[fid] &= notbit
             freed += sz
-            evicted += 1
             if dirty_l[fid] & bit:
                 # Migrating a dirty file forces its tape copy first.
                 dirty_l[fid] &= notbit
                 forced += 1
                 forced_bytes += sz
+        evicted -= len(heap)
         self.usage[k] = usage - freed
         self.evictions[k] += evicted
         self.bytes_evicted[k] += freed
-        self.resident_counts[k] -= evicted
         if forced:
             self.forced_flushes[k] += forced
             self.forced_tape_writes[k] += forced
             self.forced_flushed_bytes[k] += forced_bytes
         # Defensive tail, as in the DES: if the wave under-delivered,
         # keep evicting one victim at a time until the file fits.
-        while self.usage[k] + incoming > cap and self.resident_counts[k]:
+        while self.usage[k] + incoming > cap and self.usage[k]:
             victim = self._pop_victim(k)
             if victim is None:
                 raise RuntimeError("no victims left but cache is full")
@@ -603,21 +651,24 @@ class _MultiCapacityReplay:
         heap = self.heaps[k]
         stints = self.stints[k]
         last_l = self._last
+        pop = heapq.heappop
         while heap:
-            key, seq, fid, sz = heap[0]
+            top = heap[0]
+            seq = top & _SEQ_MASK
+            fid = self.seq_fid[seq]
             if stints[fid] != seq:
-                heapq.heappop(heap)
+                pop(heap)
                 continue
             if self.lazy_refresh:
                 last = last_l[fid]
-                if last != key:
-                    heapq.heapreplace(heap, (last, seq, fid, sz))
+                if last != top >> _SEQ_BITS:
+                    heapq.heapreplace(heap, last << _SEQ_BITS | seq)
                     continue
-            elif self.eager_touch and -key != last_l[fid]:
-                heapq.heappop(heap)
+            elif self.eager_touch and top >> _SEQ_BITS != last_l[fid]:
+                pop(heap)
                 continue
-            heapq.heappop(heap)
-            return fid, sz
+            pop(heap)
+            return fid, self._size[fid]
         return None
 
     def _evict(self, k: int, fid: int, sz: int) -> None:
@@ -627,7 +678,6 @@ class _MultiCapacityReplay:
         self.usage[k] -= sz
         self.evictions[k] += 1
         self.bytes_evicted[k] += sz
-        self.resident_counts[k] -= 1
         if self._dirty[fid] & bit:
             self._dirty[fid] &= ~bit
             self.forced_flushes[k] += 1
@@ -677,6 +727,7 @@ class _MultiCapacityReplay:
         k = self.n_caps
         hits = [self.hits_full] * k
         absorbs = [0] * k
+        staged = [0] * k
         tape_writes = list(self.forced_tape_writes)
         flushed_bytes = list(self.forced_flushed_bytes)
 
@@ -689,6 +740,7 @@ class _MultiCapacityReplay:
 
         expand(self.hit_by_mask, hits)
         expand(self.absorb_by_mask, absorbs)
+        expand(self.staged_by_mask, staged)
         for mask, (count, nbytes) in flush_by_mask.items():
             while mask:
                 bit = (mask & -mask).bit_length() - 1
@@ -712,7 +764,7 @@ class _MultiCapacityReplay:
                     read_hits=hits[i],
                     read_misses=self.reads_total - hits[i],
                     compulsory_misses=self.compulsory_total,
-                    bytes_staged=self.staged_bytes[i] + bypass_read_bytes,
+                    bytes_staged=staged[i] + bypass_read_bytes,
                     writes=self.writes_total,
                     bytes_written=self.bytes_written_total,
                     tape_writes=tape_writes[i] + bypassed_writes,

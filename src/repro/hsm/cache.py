@@ -108,6 +108,11 @@ class ManagedDiskCache:
             raise AssertionError("dirty files not resident")
         if self.policy.resident_count != len(self._sizes):
             raise AssertionError("policy and cache disagree on residency")
+        # The policy's columnar resident set: slot map vs live slots, no
+        # tombstone still mapped, and its live bytes equal to the usage.
+        self.policy.check_invariants()
+        if self.policy.resident_bytes != self._usage:
+            raise AssertionError("policy resident bytes do not match usage")
 
     # ------------------------------------------------------------------
     # The access path

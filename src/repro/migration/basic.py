@@ -7,11 +7,9 @@ additional controls.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.migration.policy import MigrationPolicy, ResidentFile
+from repro.migration.policy import MigrationPolicy, SlotView
 
 
 class LRUPolicy(MigrationPolicy):
@@ -20,8 +18,8 @@ class LRUPolicy(MigrationPolicy):
     name = "lru"
     is_inclusion_preserving = True
 
-    def rank(self, meta: ResidentFile, now: float) -> float:
-        return now - meta.last_access
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
+        return now - slots.last_access
 
 
 class FIFOPolicy(MigrationPolicy):
@@ -30,8 +28,8 @@ class FIFOPolicy(MigrationPolicy):
     name = "fifo"
     is_inclusion_preserving = True
 
-    def rank(self, meta: ResidentFile, now: float) -> float:
-        return now - meta.inserted_at
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
+        return now - slots.inserted_at
 
 
 class LargestFirstPolicy(MigrationPolicy):
@@ -40,8 +38,8 @@ class LargestFirstPolicy(MigrationPolicy):
     name = "largest-first"
     is_inclusion_preserving = True
 
-    def rank(self, meta: ResidentFile, now: float) -> float:
-        return float(meta.size)
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
+        return slots.size.astype(np.float64)
 
 
 class SmallestFirstPolicy(MigrationPolicy):
@@ -50,8 +48,8 @@ class SmallestFirstPolicy(MigrationPolicy):
     name = "smallest-first"
     is_inclusion_preserving = True
 
-    def rank(self, meta: ResidentFile, now: float) -> float:
-        return -float(meta.size)
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
+        return -slots.size.astype(np.float64)
 
 
 class RandomPolicy(MigrationPolicy):
@@ -63,8 +61,10 @@ class RandomPolicy(MigrationPolicy):
         super().__init__()
         self._rng = np.random.default_rng(seed)
 
-    def rank(self, meta: ResidentFile, now: float) -> float:
-        return float(self._rng.random())
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
+        # One draw per candidate in slot order: the same stream as one
+        # scalar ``random()`` per candidate.
+        return self._rng.random(len(slots))
 
 
 class MRUPolicy(MigrationPolicy):
@@ -73,5 +73,5 @@ class MRUPolicy(MigrationPolicy):
     name = "mru"
     is_inclusion_preserving = True
 
-    def rank(self, meta: ResidentFile, now: float) -> float:
-        return -(now - meta.last_access)
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
+        return -(now - slots.last_access)

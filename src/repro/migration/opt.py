@@ -12,7 +12,9 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.migration.policy import MigrationPolicy, ResidentFile
+import numpy as np
+
+from repro.migration.policy import MigrationPolicy, SlotView
 
 NEVER = float("inf")
 
@@ -45,8 +47,6 @@ class OptimalPolicy(MigrationPolicy):
         Vectorized: one lexsort over the concatenated (file, time) columns
         replaces the per-event dict appends of :meth:`from_events`.
         """
-        import numpy as np
-
         arrays = [(b.file_id, b.time) for b in batches if len(b)]
         if not arrays:
             return OptimalPolicy({})
@@ -77,6 +77,10 @@ class OptimalPolicy(MigrationPolicy):
             return NEVER
         return times[idx]
 
-    def rank(self, meta: ResidentFile, now: float) -> float:
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
         """Farthest next reference migrates first."""
-        return self.next_reference_after(meta.file_id, now)
+        after = self.next_reference_after
+        return np.array(
+            [after(file_id, now) for file_id in slots.file_id.tolist()],
+            dtype=np.float64,
+        )

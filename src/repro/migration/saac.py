@@ -9,19 +9,10 @@ higher for migration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+import numpy as np
 
-from repro.migration.policy import MigrationPolicy, ResidentFile
+from repro.migration.policy import MigrationPolicy, SlotView
 from repro.util.units import DAY
-
-
-@dataclass
-class _Activity:
-    """Decayed-rate bookkeeping for one file."""
-
-    decayed_rate: float = 0.0
-    last_update: float = 0.0
 
 
 class SAACPolicy(MigrationPolicy):
@@ -29,43 +20,45 @@ class SAACPolicy(MigrationPolicy):
 
     name = "saac"
 
+    #: Decayed access rate and the time it was last brought up to date.
+    extra_columns = (("decayed_rate", np.float64), ("last_update", np.float64))
+
     def __init__(self, half_life: float = 7 * DAY) -> None:
         super().__init__()
         if half_life <= 0:
             raise ValueError("half_life must be positive")
         self.half_life = half_life
-        self._activity: Dict[int, _Activity] = {}
-
-    def _decay(self, activity: _Activity, now: float) -> float:
-        """Decayed access rate at ``now``."""
-        dt = max(now - activity.last_update, 0.0)
-        return activity.decayed_rate * 0.5 ** (dt / self.half_life)
 
     def on_insert(self, file_id: int, size: int, time: float) -> None:
         super().on_insert(file_id, size, time)
-        self._activity[file_id] = _Activity(decayed_rate=1.0, last_update=time)
+        slot = self._slots.slot_of[file_id]
+        cells = self._slots.cells
+        cells.decayed_rate[slot] = 1.0
+        cells.last_update[slot] = time
 
     def on_access(self, file_id: int, time: float, is_write: bool) -> None:
         super().on_access(file_id, time, is_write)
-        activity = self._activity[file_id]
-        activity.decayed_rate = self._decay(activity, time) + 1.0
-        activity.last_update = time
+        slot = self._slots.slot_of[file_id]
+        cells = self._slots.cells
+        # Python floats, so ``**`` is the libm pow the vectorized
+        # ``float_power`` in :meth:`rank_array` matches.
+        dt = max(time - cells.last_update[slot], 0.0)
+        decayed = cells.decayed_rate[slot] * 0.5 ** (dt / self.half_life)
+        cells.decayed_rate[slot] = decayed + 1.0
+        cells.last_update[slot] = time
 
-    def on_evict(self, file_id: int) -> None:
-        super().on_evict(file_id)
-        self._activity.pop(file_id, None)
-
-    def rank(self, meta: ResidentFile, now: float) -> float:
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
         """Large, old, and *cooling* files migrate first.
 
         Lifetime rate = accesses / residency; current rate = decayed rate.
         The (1 + lifetime/current) factor grows as activity falls off.
         """
-        age = max(now - meta.last_access, 1.0)
-        residency = max(now - meta.inserted_at, 1.0)
-        lifetime_rate = meta.access_count / residency
-        current_rate = max(
-            self._decay(self._activity[meta.file_id], now) / self.half_life, 1e-12
-        )
+        half_life = self.half_life
+        age = np.maximum(now - slots.last_access, 1.0)
+        residency = np.maximum(now - slots.inserted_at, 1.0)
+        lifetime_rate = slots.access_count / residency
+        dt = np.maximum(now - slots.last_update, 0.0)
+        decayed = slots.decayed_rate * np.float_power(0.5, dt / half_life)
+        current_rate = np.maximum(decayed / half_life, 1e-12)
         cooling = 1.0 + lifetime_rate / current_rate
-        return meta.size * age * cooling
+        return slots.size * age * cooling

@@ -10,8 +10,10 @@ the ablation bench can sweep them.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import paper
-from repro.migration.policy import MigrationPolicy, ResidentFile
+from repro.migration.policy import MigrationPolicy, SlotView
 
 
 class SpaceTimePolicy(MigrationPolicy):
@@ -29,10 +31,12 @@ class SpaceTimePolicy(MigrationPolicy):
         self.size_exponent = size_exponent
         self.name = f"stp(t^{time_exponent:g},s^{size_exponent:g})"
 
-    def rank(self, meta: ResidentFile, now: float) -> float:
-        """size^beta * age^alpha."""
-        age = max(now - meta.last_access, 0.0)
-        return (meta.size ** self.size_exponent) * (age ** self.time_exponent)
+    def rank_array(self, slots: SlotView, now: float) -> np.ndarray:
+        """size^beta * age^alpha (``float_power``: see the base class)."""
+        age = np.maximum(now - slots.last_access, 0.0)
+        return np.float_power(slots.size, self.size_exponent) * np.float_power(
+            age, self.time_exponent
+        )
 
 
 def classic_stp() -> SpaceTimePolicy:

@@ -49,6 +49,14 @@ _HEADER = struct.Struct("<4sQ16s")
 #: Number of state snapshots kept per session (newest first).
 SNAPSHOTS_KEPT = 2
 
+#: Layout version of the pickled session state, stamped on every
+#: snapshot.  Bump it when a class a snapshot pickles changes shape:
+#: an older snapshot may unpickle cleanly and still break the first feed
+#: (layout 2: the migration policies' columnar resident set replaced the
+#: per-file dict).  A snapshot of any other layout is skipped like a
+#: corrupt one, so recovery falls back to journal replay.
+STATE_LAYOUT = 2
+
 JOURNAL_NAME = "journal.bin"
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{10})\.pkl$")
@@ -221,7 +229,8 @@ class SessionJournal:
         pruned.
         """
         payload = pickle.dumps(
-            {"applied": applied, "state": state}, protocol=pickle.HIGHEST_PROTOCOL
+            {"applied": applied, "layout": STATE_LAYOUT, "state": state},
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
         path = self.session_dir / f"snapshot-{applied:010d}.pkl"
         write_bytes_atomic(path, _digest(payload) + payload)
@@ -236,8 +245,9 @@ class SessionJournal:
         """Newest loadable snapshot as ``(applied, state)``.
 
         Falls back to older snapshots when the newest fails its digest
-        or unpickle, and to ``(0, None)`` when none is loadable -- the
-        caller then replays the whole journal from the empty state.
+        or unpickle or has another :data:`STATE_LAYOUT`, and to
+        ``(0, None)`` when none is loadable -- the caller then replays
+        the whole journal from the empty state.
         """
         for applied, path in self._snapshot_paths():
             try:
@@ -248,8 +258,12 @@ class SessionJournal:
                 record = pickle.loads(payload)
                 if record.get("applied") != applied:
                     raise JournalError(f"snapshot header mismatch: {path.name}")
+                if record.get("layout") != STATE_LAYOUT:
+                    raise JournalError(
+                        f"snapshot state layout mismatch: {path.name}"
+                    )
                 return applied, record["state"]
             except (OSError, pickle.UnpicklingError, EOFError, KeyError,
-                    AttributeError, JournalError):
+                    AttributeError, ImportError, TypeError, JournalError):
                 continue
         return 0, None

@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     STACK_POLICIES,
@@ -195,3 +197,38 @@ def test_sweep_batches_auto_uses_stack_for_qualifying_policies(
                 stream, "random", total, (0.01,), engine="stack"
             )
         )
+
+
+@pytest.mark.parametrize("policy", STACK_POLICIES)
+@given(
+    events=st.lists(
+        st.tuples(
+            st.integers(0, 15),                            # file id
+            st.sampled_from([0.0, 0.0, 1.0, 2.5, 2.5, 7.0]),  # time steps
+            st.booleans(),                                 # is_write
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    sizes=st.lists(st.integers(1, 60), min_size=16, max_size=16),
+    capacities=st.lists(st.integers(20, 400), min_size=1, max_size=5),
+    writeback=st.sampled_from([None, 0.0, 3.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_stack_matches_des_with_tied_times_and_sizes(
+    policy, events, sizes, capacities, writeback
+):
+    """Equal access times, equal sizes and oversized files: the stack
+    engine's packed (key, insertion sequence) heap order must break
+    every tie exactly as the DES's stable rank sort does."""
+    times = np.cumsum([step for _, step, _ in events])
+    batch = _batch([
+        (fid, sizes[fid], float(time), write)
+        for (fid, _, write), time in zip(events, times)
+    ])
+    rows = multi_capacity_replay(
+        [batch], policy, capacities, writeback_delay=writeback
+    )
+    for capacity, row in zip(capacities, rows):
+        des = replay_policy([batch], policy, capacity, writeback_delay=writeback)
+        assert dataclasses.asdict(row) == dataclasses.asdict(des), capacity

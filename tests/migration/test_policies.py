@@ -11,7 +11,7 @@ from repro.migration.basic import (
     SmallestFirstPolicy,
 )
 from repro.migration.opt import NEVER, OptimalPolicy
-from repro.migration.policy import MigrationPolicy, ResidentFile
+from repro.migration.policy import MigrationPolicy
 from repro.migration.registry import available_policies, make_policy, register_policy
 from repro.migration.saac import SAACPolicy
 from repro.migration.stp import SpaceTimePolicy, classic_stp, stp_14
@@ -116,8 +116,9 @@ def test_random_policy_is_seeded():
 
 def test_stp_rank_formula():
     policy = SpaceTimePolicy(time_exponent=1.4, size_exponent=1.0)
-    meta = ResidentFile(file_id=1, size=100, inserted_at=0.0, last_access=10.0)
-    assert policy.rank(meta, now=110.0) == pytest.approx(100 * (100.0 ** 1.4))
+    policy.on_insert(1, size=100, time=10.0)
+    (rank,) = policy.rank_array(policy.candidates(), now=110.0)
+    assert rank == pytest.approx(100 * (100.0 ** 1.4))
 
 
 def test_stp_prefers_large_and_old():
@@ -129,8 +130,10 @@ def test_stp_prefers_large_and_old():
 
 def test_stp_age_zero_rank_zero():
     policy = stp_14()
-    meta = ResidentFile(file_id=1, size=100, inserted_at=0.0, last_access=50.0)
-    assert policy.rank(meta, now=50.0) == 0.0
+    policy.on_insert(1, size=100, time=0.0)
+    policy.on_access(1, time=50.0, is_write=False)
+    (rank,) = policy.rank_array(policy.candidates(), now=50.0)
+    assert rank == 0.0
 
 
 def test_stp_validation_and_names():
@@ -166,7 +169,9 @@ def test_saac_eviction_cleans_activity():
     policy = SAACPolicy()
     policy.on_insert(1, 10, 0.0)
     policy.on_evict(1)
-    assert 1 not in policy._activity
+    assert not policy.is_resident(1)
+    assert 1 not in policy._slots.slot_of
+    policy.check_invariants()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.migration.basic import LRUPolicy
 from repro.migration.opt import NEVER, OptimalPolicy
 from repro.migration.policy import MigrationPolicy
 from repro.migration.saac import SAACPolicy
+from tests.oracles.victims import saac_activity
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +113,7 @@ def test_saac_gets_per_event_callbacks_from_batch():
     a.on_access_batch([1, 1], [100.0, 200.0])
     b.on_access(1, 100.0, is_write=False)
     b.on_access(1, 200.0, is_write=False)
-    assert a._activity[1].decayed_rate == b._activity[1].decayed_rate
-    assert a._activity[1].last_update == b._activity[1].last_update
+    assert saac_activity(a, 1) == saac_activity(b, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.serve.journal import (
     SNAPSHOTS_KEPT,
+    STATE_LAYOUT,
     SessionJournal,
+    _digest,
     decode_batch,
     encode_batch,
+    write_bytes_atomic,
 )
 from tests.serve.conftest import synth_chunks
 
@@ -104,6 +109,29 @@ def test_corrupt_newest_snapshot_falls_back(tmp_path):
     data[-1] ^= 0xFF  # bit rot: digest check must reject it
     newest.write_bytes(bytes(data))
     assert journal.load_snapshot() == (4, "older")
+
+
+def write_unversioned_snapshot(journal, applied, state):
+    """A snapshot as written before records carried a state layout."""
+    payload = pickle.dumps({"applied": applied, "state": state})
+    path = journal.session_dir / f"snapshot-{applied:010d}.pkl"
+    write_bytes_atomic(path, _digest(payload) + payload)
+    return path
+
+
+@pytest.mark.parametrize("layout", [None, STATE_LAYOUT - 1, STATE_LAYOUT + 1])
+def test_other_state_layout_is_skipped(tmp_path, layout):
+    journal = SessionJournal(tmp_path / "s")
+    journal.write_snapshot(4, "current layout")
+    if layout is None:
+        write_unversioned_snapshot(journal, 8, "old layout")
+    else:
+        payload = pickle.dumps({"applied": 8, "layout": layout, "state": "other"})
+        write_bytes_atomic(
+            journal.session_dir / "snapshot-0000000008.pkl",
+            _digest(payload) + payload,
+        )
+    assert journal.load_snapshot() == (4, "current layout")
 
 
 def test_no_snapshot_means_empty_state(tmp_path):

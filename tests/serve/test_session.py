@@ -220,6 +220,46 @@ class TestJournaledSession:
             reference.feed(chunk)
         assert recovered.session.metrics() == reference.metrics()
 
+    @pytest.mark.parametrize("policy", ["lru", "saac"])
+    def test_pre_columnar_snapshot_falls_back_to_journal(
+        self, tmp_path, chunk_stream, policy
+    ):
+        """A snapshot from before the columnar resident set (the policy
+        pickled as a per-file ``_resident`` dict, record unstamped)
+        unpickles cleanly but would crash the first feed; recovery must
+        skip it and replay the journal to the uninterrupted state."""
+        from repro.migration.policy import ResidentFile
+        from tests.serve.test_journal import write_unversioned_snapshot
+
+        spec = _spec(policy=policy, deduped=False)
+        uninterrupted = ReplaySession(spec)
+        for chunk in chunk_stream:
+            uninterrupted.feed(chunk)
+
+        journaled = JournaledSession.create(tmp_path / "s", spec,
+                                            snapshot_every=10_000)
+        for seq, chunk in enumerate(chunk_stream[:4]):
+            journaled.feed(chunk, seq)
+        journaled.journal.close()
+        old = journaled.session
+        old_policy = old.hsm.cache.policy
+        resident = {
+            file_id: old_policy.metadata(file_id)
+            for file_id in old_policy._slots.slot_of
+        }
+        assert all(isinstance(m, ResidentFile) for m in resident.values())
+        old_policy.__dict__.clear()
+        old_policy.__dict__["_resident"] = resident
+        write_unversioned_snapshot(journaled.journal, 4, old)
+        with pytest.raises(AttributeError):  # the hazard the stamp guards
+            old.feed(chunk_stream[4])
+
+        recovered = JournaledSession.open(tmp_path / "s")
+        assert recovered.next_seq == 4
+        for seq, chunk in enumerate(chunk_stream[4:], start=4):
+            recovered.feed(chunk, seq)
+        assert recovered.session.metrics() == uninterrupted.metrics()
+
     def test_duplicate_chunk_acks_without_reapplying(self, tmp_path, chunk_stream):
         journaled = JournaledSession.create(tmp_path / "s", _spec())
         journaled.feed(chunk_stream[0], 0)

@@ -111,6 +111,61 @@ def test_manual_counter_skew_is_caught(invariants_on):
     assert excinfo.value.bundle is not None
 
 
+def _loaded_cache(policy_name="saac"):
+    """A cache with evictions behind it, so the resident set holds
+    tombstoned slots as well as live ones."""
+    cache = ManagedDiskCache(
+        CacheConfig(capacity_bytes=CAPACITY), make_policy(policy_name)
+    )
+    for batch in clean_stream(6, n_events=800):
+        cache.access_batch(
+            batch.file_id.tolist(), batch.size.tolist(),
+            batch.time.tolist(), batch.is_write.tolist(),
+        )
+    assert cache.metrics.evictions and cache.policy._slots.dead
+    cache.check_invariants()
+    return cache
+
+
+def _live_and_dead_slots(slots):
+    live = slots.live[: slots.end]
+    return live.nonzero()[0], (~live).nonzero()[0]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("size", "resident bytes"),
+    ("file_id", "file id column"),
+    ("tombstone", "tombstoned slot"),
+    ("revive", "live slots"),
+])
+def test_tampered_resident_set_trips_the_cache_check(tamper, message):
+    cache = _loaded_cache()
+    slots = cache.policy._slots
+    live, dead = _live_and_dead_slots(slots)
+    if tamper == "size":
+        slots.size[live[0]] += 1
+    elif tamper == "file_id":
+        slots.file_id[live[0]] = slots.file_id[live[1]]
+    elif tamper == "tombstone":
+        slots.live[live[0]] = False
+        slots.dead += 1
+    else:
+        slots.live[dead[0]] = True
+    with pytest.raises(AssertionError, match=message):
+        cache.check_invariants()
+
+
+def test_tampered_resident_set_trips_the_replay_checker(invariants_on):
+    cache = _loaded_cache()
+    checker = HSMInvariantChecker(cache)
+    slots = cache.policy._slots
+    slots.size[_live_and_dead_slots(slots)[0][0]] += 1
+    cache.flush_all()
+    with pytest.raises(InvariantViolation) as excinfo:
+        checker.finalize()
+    assert excinfo.value.law == "cache-structural"
+
+
 def test_journal_gap_raises(invariants_on):
     with pytest.raises(InvariantViolation) as excinfo:
         check_journal_recovery("s", 2, 5, 4)
