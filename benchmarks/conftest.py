@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -66,6 +67,25 @@ def dump_bench_timings(timings: dict, configs: dict = None) -> None:
     existing.update(timings)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(existing, handle, indent=1, sort_keys=True)
+
+
+def interleaved(contenders, rounds=3):
+    """CPU seconds of each contender per round, run round-robin.
+
+    Interleaving spreads a slow phase of a shared host over every
+    contender instead of loading it onto one, and ``time.process_time``
+    counts only this process's CPU, so time spent descheduled is not
+    charged to either side.  Returns the per-contender timings and the
+    last round's results.
+    """
+    timings = [[] for _ in contenders]
+    results = [None] * len(contenders)
+    for _ in range(rounds):
+        for index, fn in enumerate(contenders):
+            start = time.process_time()
+            results[index] = fn()
+            timings[index].append(time.process_time() - start)
+    return timings, results
 
 
 @pytest.fixture(scope="session")

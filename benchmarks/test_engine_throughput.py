@@ -1,9 +1,10 @@
-"""Engine micro-benchmark: batch replay vs the old per-record loop.
+"""Engine micro-benchmark: batch replay vs the per-record reference loop.
 
 Measures events/sec from a generated trace to HSM metrics along both
-paths -- the legacy record walk (``events_from_trace`` + per-tuple
-``HSM.run``) and the columnar engine (``prepare_stream`` + batch
-``HSM.replay``) -- and gates the engine at >= 5x.
+paths -- the reference record walk (``events_from_trace`` + one
+``HSM.handle`` per tuple, from ``tests/oracles/records.py``) and the
+columnar engine (``prepare_stream`` + batch ``HSM.replay``) -- and gates
+the engine at >= 5x.
 """
 
 import dataclasses
@@ -17,10 +18,12 @@ import pytest
 #: the hard timing gates.
 RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
+from conftest import interleaved
+
 from repro.engine import prepare_stream, replay_policy
-from repro.hsm.manager import events_from_trace, run_policy
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import generate_trace
+from tests.oracles.records import events_from_trace, run_policy
 
 SCALE = 0.05
 CAPACITY_FRACTION = 0.05
@@ -42,30 +45,11 @@ def _best_of(fn, rounds=3):
     return min(timings), result
 
 
-def _interleaved(contenders, rounds=3):
-    """CPU seconds of each contender per round, run round-robin.
-
-    Interleaving spreads a slow phase of a shared host over every
-    contender instead of loading it onto one, and ``time.process_time``
-    counts only this process's CPU, so time spent descheduled is not
-    charged to either side.  Returns the per-contender timings and the
-    last round's results.
-    """
-    timings = [[] for _ in contenders]
-    results = [None] * len(contenders)
-    for _ in range(rounds):
-        for index, fn in enumerate(contenders):
-            start = time.process_time()
-            results[index] = fn()
-            timings[index].append(time.process_time() - start)
-    return timings, results
-
-
 def test_batch_replay_is_5x_faster_than_record_loop(throughput_trace):
     trace = throughput_trace
     capacity = int(trace.namespace.total_bytes * CAPACITY_FRACTION)
 
-    (legacy_times, engine_times), (legacy_metrics, engine_metrics) = _interleaved([
+    (legacy_times, engine_times), (legacy_metrics, engine_metrics) = interleaved([
         lambda: run_policy(events_from_trace(trace), POLICY, capacity),
         lambda: replay_policy(prepare_stream(trace), POLICY, capacity),
     ])

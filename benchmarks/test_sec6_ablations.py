@@ -12,14 +12,15 @@
 import pytest
 from conftest import report  # noqa: F401  (kept for parity with other benches)
 
-from repro.hsm import HSM, HSMConfig, events_from_trace, run_policy
+from repro.engine import replay_policy
+from repro.hsm import HSM, HSMConfig
 from repro.migration.stp import SpaceTimePolicy
 from repro.util.units import HOUR, MB
 
 
 @pytest.fixture(scope="module")
 def events(bench_study):
-    return events_from_trace(bench_study.trace)
+    return bench_study.event_batches()
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +32,10 @@ def test_ablation_lazy_writeback(benchmark, events, capacity):
     """Lazy write-back saves tape writes by absorbing rewrites."""
 
     def run_lazy():
-        return run_policy(events, "stp", capacity, writeback_delay=8 * HOUR)
+        return replay_policy(events, "stp", capacity, writeback_delay=8 * HOUR)
 
     lazy = benchmark(run_lazy)
-    eager = run_policy(events, "stp", capacity, writeback_delay=None)
+    eager = replay_policy(events, "stp", capacity, writeback_delay=None)
     print(f"\nlazy:  tape writes {lazy.tape_writes}, absorbed {lazy.rewrites_absorbed}")
     print(f"eager: tape writes {eager.tape_writes}, absorbed {eager.rewrites_absorbed}")
     assert lazy.rewrites_absorbed > 0
@@ -48,10 +49,12 @@ def test_ablation_prefetch(benchmark, events, capacity, bench_study):
     namespace = bench_study.trace.namespace
 
     def run_prefetch():
-        return run_policy(events, "stp", capacity, namespace=namespace, prefetch=True)
+        return replay_policy(
+            events, "stp", capacity, namespace=namespace, prefetch=True
+        )
 
     fetched = benchmark.pedantic(run_prefetch, rounds=1, iterations=1)
-    plain = run_policy(events, "stp", capacity, namespace=namespace)
+    plain = replay_policy(events, "stp", capacity, namespace=namespace)
     print(f"\nplain miss {plain.read_miss_ratio:.4f}; "
           f"prefetch miss {fetched.read_miss_ratio:.4f} "
           f"(accuracy {fetched.prefetch_accuracy():.1%}, "
@@ -95,7 +98,7 @@ def test_ablation_stp_exponent(benchmark, events, capacity):
         for alpha in (0.5, 1.0, 1.4, 2.0):
             policy = SpaceTimePolicy(time_exponent=alpha)
             config = HSMConfig.with_capacity(capacity)
-            out[alpha] = HSM(config, policy).run(events).read_miss_ratio
+            out[alpha] = HSM(config, policy).replay(events).read_miss_ratio
         return out
 
     misses = benchmark.pedantic(sweep, rounds=1, iterations=1)

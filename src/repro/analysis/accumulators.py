@@ -2,17 +2,17 @@
 
 Every figure and table that consumes the reference stream reduces it to
 a handful of histograms, sample vectors, or per-cell moments.  The
-record-based analysis functions do that one Python object at a time;
-the helpers here do the same reductions column-at-a-time, so a
-multi-month trace is analyzed at memory bandwidth instead of at
+helpers here do those reductions column-at-a-time, so a multi-month
+trace is analyzed at memory bandwidth instead of at
 ``TraceRecord.__init__`` speed.
 
 Each helper consumes an iterable of batches in stream order and matches
-its record-based counterpart number for number: integer reductions
-(counts, byte totals, sample vectors, gaps) are bit-identical because
-the same values are combined in the same order; floating means computed
-with numpy instead of Welford updates agree to rounding error (~1e-15
-relative), far below any rendered precision.
+the per-record reference walk in ``tests/oracles/records.py`` number for
+number: integer reductions (counts, byte totals, sample vectors, gaps)
+are bit-identical because the same values are combined in the same
+order; floating means computed with numpy instead of Welford updates
+agree to rounding error (~1e-15 relative), far below any rendered
+precision.
 
 The analysis modules re-export these as ``*_from_batches`` entry
 points; this module holds only the reductions, no figure dataclasses.
@@ -64,8 +64,8 @@ def binned_byte_sums(
 
     One pass: each batch is error-stripped, binned with ``bin_of`` and
     scatter-added into the read/write accumulators.  ``np.add.at``
-    applies updates in element order, so the float sums match the
-    record loop exactly.
+    applies updates in element order, so the float sums match a
+    per-record loop exactly.
     """
     read_bytes = np.zeros(n_bins)
     write_bytes = np.zeros(n_bins)
@@ -95,8 +95,7 @@ def binned_byte_series(
 ) -> np.ndarray:
     """Bytes moved per fixed-width time bin (the periodicity series).
 
-    ``direction`` is ``None`` for both, else ``is_write``; mirrors
-    :func:`repro.analysis.periodicity.rate_series`.  Streams batch by
+    ``direction`` is ``None`` for both, else ``is_write``.  Streams batch by
     batch with O(n_bins) state: the bin array grows as the horizon
     advances instead of buffering the whole filtered stream.
     """
@@ -167,9 +166,8 @@ def per_file_gaps(batches: Iterable[EventBatch]) -> np.ndarray:
 
     Groups a time-ordered stream by ``file_id`` with one stable sort
     and differences within each group.  Gap groups are emitted in
-    first-appearance order of their file -- the same order the
-    record-path dict walk produces -- so downstream statistics match
-    bit for bit.
+    first-appearance order of their file -- the same order a per-path
+    dict walk produces -- so downstream statistics match bit for bit.
     """
     id_parts: List[np.ndarray] = []
     time_parts: List[np.ndarray] = []
@@ -292,7 +290,7 @@ def latency_samples_by_device(
 class OverallAccumulator:
     """One-pass Table 3 accumulator over a *raw* batch stream.
 
-    Builds the same :class:`TraceStatistics` the record walk does:
+    Builds the same :class:`TraceStatistics` a record walk does:
     per-(device, direction) reference counts, byte totals, and
     size/latency/transfer moments, plus error counts and the traced
     span.  Per-batch moments are computed with numpy and folded in with

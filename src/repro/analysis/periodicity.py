@@ -17,40 +17,11 @@ import numpy as np
 
 from repro.analysis import accumulators
 from repro.analysis.compare import Comparison
-from repro.trace.record import TraceRecord
 from repro.util.stats import autocorrelation, dominant_periods
 from repro.util.units import DAY, HOUR, WEEK
 
 if TYPE_CHECKING:
     from repro.engine.batch import EventBatch
-
-
-def rate_series(
-    records: Iterable[TraceRecord],
-    bin_seconds: float = HOUR,
-    direction: Optional[bool] = None,
-    span_seconds: Optional[float] = None,
-) -> np.ndarray:
-    """Bytes moved per bin; ``direction`` None = both, else is_write."""
-    totals: List[float] = []
-    horizon = 0.0
-    buffered = []
-    for record in records:
-        if record.is_error:
-            continue
-        if direction is not None and record.is_write != direction:
-            continue
-        buffered.append((record.start_time, record.file_size))
-        horizon = max(horizon, record.start_time)
-    if not buffered:
-        raise ValueError("no matching records")
-    span = span_seconds if span_seconds is not None else horizon + bin_seconds
-    n_bins = int(np.ceil(span / bin_seconds))
-    series = np.zeros(n_bins)
-    for time, size in buffered:
-        idx = min(int(time // bin_seconds), n_bins - 1)
-        series[idx] += size
-    return series
 
 
 @dataclass
@@ -75,36 +46,6 @@ class PeriodicityReport:
         return max(self.daily_autocorrelation, self.weekly_autocorrelation)
 
 
-def analyze_direction(
-    records: Iterable[TraceRecord],
-    direction: Optional[bool],
-    bin_seconds: float = HOUR,
-) -> PeriodicityReport:
-    """Build a report for reads (False), writes (True) or both (None)."""
-    series = rate_series(records, bin_seconds=bin_seconds, direction=direction)
-    return _report_from_series(series, direction, bin_seconds)
-
-
-def _report_from_series(
-    series: np.ndarray, direction: Optional[bool], bin_seconds: float
-) -> PeriodicityReport:
-    """Spectral/autocorrelation summary of one binned rate series."""
-    bins_per_day = int(round(DAY / bin_seconds))
-    bins_per_week = int(round(WEEK / bin_seconds))
-    max_lag = min(len(series) - 1, bins_per_week)
-    acf = autocorrelation(series, max_lag)
-    daily = float(acf[bins_per_day]) if bins_per_day <= max_lag else 0.0
-    weekly = float(acf[bins_per_week]) if bins_per_week <= max_lag else 0.0
-    periods = dominant_periods(series, sample_spacing=bin_seconds, top_k=6)
-    label = {None: "total", True: "writes", False: "reads"}[direction]
-    return PeriodicityReport(
-        direction=label,
-        top_periods_hours=[(p / HOUR, power) for p, power in periods],
-        daily_autocorrelation=daily,
-        weekly_autocorrelation=weekly,
-    )
-
-
 def rate_series_from_batches(
     batches: Iterable["EventBatch"],
     bin_seconds: float = HOUR,
@@ -125,22 +66,24 @@ def analyze_direction_from_batches(
     direction: Optional[bool],
     bin_seconds: float = HOUR,
 ) -> PeriodicityReport:
-    """:func:`analyze_direction` on a batch stream."""
+    """Build a report for reads (False), writes (True) or both (None)."""
     series = rate_series_from_batches(
         batches, bin_seconds=bin_seconds, direction=direction
     )
-    return _report_from_series(series, direction, bin_seconds)
-
-
-def periodicity_comparison(records_factory) -> Comparison:
-    """Paper-vs-measured periodicity claims.
-
-    ``records_factory`` is a zero-argument callable returning a fresh
-    record iterator (the series is scanned once per direction).
-    """
-    reads = analyze_direction(records_factory(), direction=False)
-    writes = analyze_direction(records_factory(), direction=True)
-    return _periodicity_claims(reads, writes)
+    bins_per_day = int(round(DAY / bin_seconds))
+    bins_per_week = int(round(WEEK / bin_seconds))
+    max_lag = min(len(series) - 1, bins_per_week)
+    acf = autocorrelation(series, max_lag)
+    daily = float(acf[bins_per_day]) if bins_per_day <= max_lag else 0.0
+    weekly = float(acf[bins_per_week]) if bins_per_week <= max_lag else 0.0
+    periods = dominant_periods(series, sample_spacing=bin_seconds, top_k=6)
+    label = {None: "total", True: "writes", False: "reads"}[direction]
+    return PeriodicityReport(
+        direction=label,
+        top_periods_hours=[(p / HOUR, power) for p, power in periods],
+        daily_autocorrelation=daily,
+        weekly_autocorrelation=weekly,
+    )
 
 
 def periodicity_comparison_from_batches(
@@ -153,13 +96,6 @@ def periodicity_comparison_from_batches(
     """
     reads = analyze_direction_from_batches(batches_factory(), direction=False)
     writes = analyze_direction_from_batches(batches_factory(), direction=True)
-    return _periodicity_claims(reads, writes)
-
-
-def _periodicity_claims(
-    reads: PeriodicityReport, writes: PeriodicityReport
-) -> Comparison:
-    """The abstract's three claims as comparison rows."""
     comp = Comparison("Abstract: request periodicity")
     comp.add(
         "reads: 24 h period present",

@@ -8,14 +8,13 @@ reads-periodic contrast is the paper's core observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 import numpy as np
 
 from repro.analysis import accumulators
 from repro.analysis.render import render_series
-from repro.trace.record import TraceRecord
-from repro.util.timeutil import DAY_NAMES, TraceCalendar
+from repro.util.timeutil import DAY_NAMES
 from repro.util.units import DAY, HOUR, WEEK, bytes_to_gb
 
 if TYPE_CHECKING:
@@ -60,41 +59,6 @@ class RateProfile:
         )
 
 
-def _accumulate(
-    records: Iterable[TraceRecord],
-    bin_of: "callable",
-    n_bins: int,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Sum bytes per bin for reads and writes; also returns the span."""
-    read_bytes = np.zeros(n_bins)
-    write_bytes = np.zeros(n_bins)
-    first = None
-    last = None
-    for record in records:
-        if record.is_error:
-            continue
-        if first is None:
-            first = record.start_time
-        last = record.start_time
-        idx = bin_of(record.start_time)
-        if record.is_write:
-            write_bytes[idx] += record.file_size
-        else:
-            read_bytes[idx] += record.file_size
-    if first is None or last is None or last <= first:
-        raise ValueError("need a non-degenerate record stream")
-    return read_bytes, write_bytes, last - first
-
-
-def _hourly_labels_and_norm(span: float) -> Tuple[List[str], float]:
-    # Each hour-of-day bin collects one hour per traced day.
-    return [f"{h:02d}" for h in range(24)], max(span / DAY, 1.0)
-
-
-def _weekly_labels_and_norm(span: float) -> Tuple[List[str], float]:
-    return list(DAY_NAMES), max(span / WEEK, 1.0) * 24.0
-
-
 def _profile(
     read_bytes: np.ndarray,
     write_bytes: np.ndarray,
@@ -109,48 +73,14 @@ def _profile(
     )
 
 
-def hourly_profile(records: Iterable[TraceRecord]) -> RateProfile:
-    """Figure 4: average GB/hour by hour of day (0 = midnight)."""
-    read_bytes, write_bytes, span = _accumulate(
-        records, lambda t: int((t % DAY) // HOUR), 24
-    )
-    return _profile(read_bytes, write_bytes, *_hourly_labels_and_norm(span))
-
-
-def weekly_profile(records: Iterable[TraceRecord]) -> RateProfile:
-    """Figure 5: average GB/hour by day of week (0 = Sunday)."""
-    calendar = TraceCalendar()
-    read_bytes, write_bytes, span = _accumulate(
-        records, calendar.day_of_week, 7
-    )
-    return _profile(read_bytes, write_bytes, *_weekly_labels_and_norm(span))
-
-
-def secular_series(
-    records: Iterable[TraceRecord], n_weeks: int = 104
-) -> RateProfile:
-    """Figure 6: average GB/hour for each trace week."""
-    read_bytes, write_bytes, _ = _accumulate(
-        records,
-        lambda t: min(int(t // WEEK), n_weeks - 1),
-        n_weeks,
-    )
-    hours_per_week = WEEK / HOUR
-    return _profile(
-        read_bytes, write_bytes, [f"w{w}" for w in range(n_weeks)], hours_per_week
-    )
-
-
-# ---------------------------------------------------------------------------
-# Columnar entry points (the figure/table path)
-
-
 def hourly_profile_from_batches(batches: Iterable["EventBatch"]) -> RateProfile:
     """Figure 4 from a batch stream (one vectorized pass)."""
     read_bytes, write_bytes, span = accumulators.binned_byte_sums(
         batches, accumulators.hour_of_day_bins, 24
     )
-    return _profile(read_bytes, write_bytes, *_hourly_labels_and_norm(span))
+    # Each hour-of-day bin collects one hour per traced day.
+    labels = [f"{h:02d}" for h in range(24)]
+    return _profile(read_bytes, write_bytes, labels, max(span / DAY, 1.0))
 
 
 def weekly_profile_from_batches(batches: Iterable["EventBatch"]) -> RateProfile:
@@ -158,7 +88,8 @@ def weekly_profile_from_batches(batches: Iterable["EventBatch"]) -> RateProfile:
     read_bytes, write_bytes, span = accumulators.binned_byte_sums(
         batches, accumulators.day_of_week_bins, 7
     )
-    return _profile(read_bytes, write_bytes, *_weekly_labels_and_norm(span))
+    hours_per_bin = max(span / WEEK, 1.0) * 24.0
+    return _profile(read_bytes, write_bytes, list(DAY_NAMES), hours_per_bin)
 
 
 def secular_series_from_batches(

@@ -116,11 +116,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             TraceStore.open(args.trace).iter_batches()
         )
     else:
-        from repro.analysis import overall_statistics
         from repro.trace.reader import TraceReader
+        from repro.trace.store import batches_from_records
 
         with TraceReader(args.trace) as reader:
-            analysis = overall_statistics(reader)
+            analysis = overall_statistics_from_batches(
+                batches_from_records(reader)
+            )
     print(analysis.render())
     print()
     print(analysis.comparison().render())
@@ -128,11 +130,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.mss.system import MSSConfig, replay_trace
-    from repro.trace.reader import read_trace
+    from repro.mss.system import MSSConfig, MSSSystem
+    from repro.trace.reader import TraceReader
+    from repro.trace.store import batches_from_records
 
-    records = read_trace(args.trace)
-    _, metrics = replay_trace(records, MSSConfig(seed=args.seed))
+    paths: List[str] = []
+    with TraceReader(args.trace) as reader:
+        batches = list(batches_from_records(reader, paths=paths))
+    _, metrics = MSSSystem(MSSConfig(seed=args.seed)).replay_columns(
+        batches, paths.__getitem__
+    )
     for name, row in metrics.summary().items():
         print(
             f"{name:12s} n={int(row['count']):8d} startup={row['startup_mean']:8.1f}s "

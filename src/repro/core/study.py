@@ -7,11 +7,9 @@ examples and benchmarks all drive.
 The study's native artifact is the columnar batch stream:
 :meth:`Study.iter_batches` yields :class:`~repro.engine.batch.EventBatch`
 chunks -- raw, error-stripped, or deduped -- and every figure/table
-experiment reduces those streams directly.  The record views
-(:meth:`records`, :meth:`iter_records`, :meth:`good_records`,
-:meth:`deduped_records`) remain as thin compatibility wrappers over the
-same streams for external callers; no analysis path materializes a
-``List[TraceRecord]`` anymore.
+experiment reduces those streams directly.  The one record view,
+:meth:`Study.iter_records`, is a lazy adapter over the raw stream for
+the Table 2 sample rows.
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ class Study:
                 "scenario"
             )
         self._trace: Optional[SyntheticTrace] = None
-        self._records: Optional[List[TraceRecord]] = None
         self._replayed: Optional[Tuple[List["EventBatch"], MetricsCollector]] = None
         self._batches: dict = {}
         self._store = None
@@ -138,7 +135,7 @@ class Study:
         if self._replayed is None:
             system = MSSSystem(self.config.mss)
             self._replayed = system.replay_columns(
-                self.trace.iter_batches(), self.trace.namespace
+                self.trace.iter_batches(), self.trace.namespace.path_of
             )
         return self._replayed[0]
 
@@ -255,38 +252,11 @@ class Study:
         )
         return tenant_breakdown_from_batches(self.iter_batches("raw"), labels)
 
-    # ------------------------------------------------------------------
-    # Record views (compatibility wrappers over the batch streams)
-
     def iter_records(self) -> Iterator[TraceRecord]:
         """Lazy record view of the (possibly replayed) raw stream."""
         from repro.engine.records import records_from_batches
 
-        if self._records is not None:
-            return iter(self._records)
         return records_from_batches(self.iter_batches("raw"), self.trace.namespace)
-
-    def records(self) -> List[TraceRecord]:
-        """Materialized records, DES-replayed if the config asks for it.
-
-        Compatibility API: analyses consume :meth:`iter_batches`; this
-        exists for external callers that want per-record objects.
-        """
-        if self._records is None:
-            self._records = list(self.iter_records())
-        return self._records
-
-    def good_records(self) -> Iterator[TraceRecord]:
-        """Successful references only (record view of ``"good"``)."""
-        from repro.trace.filters import strip_errors
-
-        return strip_errors(self.iter_records())
-
-    def deduped_records(self) -> Iterator[TraceRecord]:
-        """The Section 5.3 stream (record view of ``"deduped"``)."""
-        from repro.trace.filters import dedupe_for_file_analysis
-
-        return dedupe_for_file_analysis(self.good_records())
 
     # ------------------------------------------------------------------
     # Canned analyses

@@ -1,10 +1,9 @@
-"""Batch-oriented HSM replay: the engine-side policy runners.
+"""Batch-oriented HSM replay: the policy runners.
 
-These mirror ``repro.hsm.run_policy`` / ``capacity_sweep`` but move
-:class:`~repro.engine.batch.EventBatch`es end to end: the stream is never
-expanded into per-event tuples, OPT builds its future schedule with one
-vectorized pass, and a prepared stream can be replayed against many
-(policy, capacity) cells without re-deriving it.
+These move :class:`~repro.engine.batch.EventBatch`es end to end: the
+stream is never expanded into a list of per-event tuples, OPT builds its
+future schedule with one vectorized pass, and a prepared stream can be
+replayed against many (policy, capacity) cells without re-deriving it.
 """
 
 from __future__ import annotations

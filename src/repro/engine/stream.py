@@ -4,8 +4,7 @@ These are the columnar counterparts of :mod:`repro.trace.filters`: the
 error strip of Section 5.1 and the eight-hour dedupe of Section 5.3,
 applied per batch with numpy instead of per record with Python objects.
 ``hsm_event_batches`` composes them into the reference stream the HSM
-replays -- the engine-side equivalent of the old
-``events_from_trace`` record walk.
+replays.
 """
 
 from __future__ import annotations
@@ -99,10 +98,9 @@ def hsm_event_batches(
 ) -> Iterator[EventBatch]:
     """The HSM reference stream of a trace, as batches.
 
-    Mirrors the legacy ``repro.hsm.events_from_trace``: failed references
-    are dropped, sizes are clamped to at least one byte, and by default
-    the eight-hour dedupe is applied (migration decisions would not see
-    batch-script re-requests, Section 6).
+    Failed references are dropped, sizes are clamped to at least one
+    byte, and by default the eight-hour dedupe is applied (migration
+    decisions would not see batch-script re-requests, Section 6).
     """
     return hsm_batches_from_stream(
         trace.iter_batches(chunk_size=chunk_size), deduped=deduped

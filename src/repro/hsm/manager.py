@@ -10,22 +10,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.hsm.cache import CacheConfig, ManagedDiskCache
 from repro.hsm.metrics import HSMMetrics
 from repro.hsm.prefetch import PrefetchConfig, SequentialPrefetcher
-from repro.migration.opt import OptimalPolicy
 from repro.migration.policy import MigrationPolicy
-from repro.migration.registry import make_policy
 from repro.namespace.model import Namespace
-from repro.workload.generator import SyntheticTrace
 
 if TYPE_CHECKING:
     from repro.engine.batch import EventBatch
 
-#: One reference: (file_id, size_bytes, time_seconds, is_write).  Legacy
-#: per-tuple form; the pipeline moves :class:`EventBatch`es instead.
+#: One reference: (file_id, size_bytes, time_seconds, is_write).
 Event = Tuple[int, int, float, bool]
 
 
@@ -88,6 +84,18 @@ class HSM:
             if not is_write and not outcome.hit:
                 self._prefetch_around(file_id, time)
 
+    def _handle_each(
+        self,
+        file_ids: List[int],
+        sizes: List[int],
+        times: List[float],
+        is_write: List[bool],
+    ) -> None:
+        """Apply one batch's columns through :meth:`handle`, event by event."""
+        handle = self.handle
+        for event in zip(file_ids, sizes, times, is_write):
+            handle(event)
+
     def _prefetch_around(self, file_id: int, time: float) -> None:
         assert self.prefetcher is not None
         for sibling_id, sibling_size in self.prefetcher.candidates(file_id):
@@ -100,25 +108,14 @@ class HSM:
             self.cache._insert(sibling_id, sibling_size, time, dirty=False)
             self.prefetcher.note_prefetched(sibling_id)
 
-    def run(self, events: Iterable[Event]) -> HSMMetrics:
-        """Replay a whole per-tuple reference stream.
-
-        Legacy entry point kept for unit tests and ad-hoc streams; the
-        pipeline path is :meth:`replay` over :class:`EventBatch`es.
-        """
-        for event in events:
-            self.handle(event)
-        self.cache.flush_all()
-        return self.metrics
-
     def replay(self, batches: Iterable["EventBatch"]) -> HSMMetrics:
         """Replay a stream of columnar :class:`EventBatch`es.
 
-        Produces metrics identical to feeding the same events through
-        :meth:`run` one tuple at a time, but drives the cache through its
-        batch access path (buffered hit runs, no per-event allocations).
-        With prefetching enabled the per-event path is used, because every
-        access outcome feeds the prefetcher.
+        Each batch goes through the cache's batch access path (buffered
+        hit runs, no per-event allocations), or, with prefetching
+        enabled, through :meth:`handle` event by event, because every
+        access outcome feeds the prefetcher.  Either way the metrics are
+        those of applying the events one at a time.
 
         With ``REPRO_CHECK_INVARIANTS=1`` every batch is followed by a
         conservation-law check (and ``flush_all`` by the at-finalize
@@ -138,106 +135,21 @@ class HSM:
             else None
         )
         faulted = bool(os.environ.get("REPRO_FAULT_PLAN"))
-        index = 0
-        if self.prefetcher is not None:
-            for batch in batches:
-                handle = self.handle
-                for event in zip(
-                    batch.file_id.tolist(),
-                    batch.size.tolist(),
-                    batch.time.tolist(),
-                    batch.is_write.tolist(),
-                ):
-                    handle(event)
-                if faulted and "corrupt" in fault_point(
-                    "hsm-batch", f"batch:{index}"
-                ):
-                    self.cache.metrics.read_hits += 1
-                if checker is not None:
-                    checker.after_batch(batch)
-                index += 1
-        else:
-            for batch in batches:
-                self.cache.access_batch(
-                    batch.file_id.tolist(),
-                    batch.size.tolist(),
-                    batch.time.tolist(),
-                    batch.is_write.tolist(),
-                )
-                if faulted and "corrupt" in fault_point(
-                    "hsm-batch", f"batch:{index}"
-                ):
-                    self.cache.metrics.read_hits += 1
-                if checker is not None:
-                    checker.after_batch(batch)
-                index += 1
+        step = (
+            self.cache.access_batch if self.prefetcher is None else self._handle_each
+        )
+        for index, batch in enumerate(batches):
+            step(
+                batch.file_id.tolist(),
+                batch.size.tolist(),
+                batch.time.tolist(),
+                batch.is_write.tolist(),
+            )
+            if faulted and "corrupt" in fault_point("hsm-batch", f"batch:{index}"):
+                self.cache.metrics.read_hits += 1
+            if checker is not None:
+                checker.after_batch(batch)
         self.cache.flush_all()
         if checker is not None:
             checker.finalize()
         return self.metrics
-
-
-# ---------------------------------------------------------------------------
-# Event-stream construction
-
-
-def events_from_trace(
-    trace: SyntheticTrace, deduped: bool = True
-) -> List[Event]:
-    """Reference stream for HSM replay from a synthetic trace.
-
-    Failed references are dropped; by default the 8-hour dedupe is applied
-    (migration decisions would not see batch-script re-requests, Section 6).
-
-    Legacy record-walking implementation, kept as the reference the
-    engine's columnar pipeline (:func:`repro.engine.stream.hsm_event_batches`)
-    is verified against; new code should use the engine path.
-    """
-    from repro.trace.filters import dedupe_for_file_analysis, strip_errors
-
-    records = strip_errors(trace.iter_records())
-    if deduped:
-        records = dedupe_for_file_analysis(records)
-    events: List[Event] = []
-    for record in records:
-        entry = trace.namespace.file_by_path(record.mss_path)
-        events.append(
-            (entry.file_id, max(entry.size, 1), record.start_time, record.is_write)
-        )
-    return events
-
-
-def run_policy(
-    events: List[Event],
-    policy_name: str,
-    capacity_bytes: int,
-    namespace: Optional[Namespace] = None,
-    writeback_delay: Optional[float] = 4 * 3600.0,
-    prefetch: bool = False,
-) -> HSMMetrics:
-    """Run one named policy over an event stream."""
-    if policy_name == "opt":
-        policy: MigrationPolicy = OptimalPolicy.from_events(
-            (file_id, time) for file_id, _, time, _ in events
-        )
-    else:
-        policy = make_policy(policy_name)
-    config = HSMConfig.with_capacity(
-        capacity_bytes, writeback_delay=writeback_delay, prefetch=prefetch
-    )
-    hsm = HSM(config, policy, namespace=namespace)
-    return hsm.run(events)
-
-
-def capacity_sweep(
-    events: List[Event],
-    policy_name: str,
-    total_bytes: int,
-    fractions: Iterable[float],
-    namespace: Optional[Namespace] = None,
-) -> Iterator[Tuple[float, HSMMetrics]]:
-    """Miss ratio vs capacity: the Smith-style curve of Section 2.3."""
-    for fraction in fractions:
-        capacity = max(int(total_bytes * fraction), 1)
-        metrics = run_policy(events, policy_name, capacity, namespace=namespace)
-        yield fraction, metrics

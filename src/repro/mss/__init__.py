@@ -19,7 +19,7 @@ from repro.mss.network import (
 )
 from repro.mss.operators import OperatorConfig, OperatorPool
 from repro.mss.request import MSSRequest, Phase
-from repro.mss.system import MSSConfig, MSSSystem, replay_trace
+from repro.mss.system import MSSConfig, MSSSystem
 from repro.mss.tape import ShelfStation, TapeConfig, TapeDrive, TapeLibrary, TapeSilo
 
 __all__ = [
@@ -53,6 +53,5 @@ __all__ = [
     "TapeSilo",
     "Topology",
     "ncar_topology",
-    "replay_trace",
     "stable_hash",
 ]

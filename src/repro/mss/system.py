@@ -1,16 +1,16 @@
 """Wiring: a complete simulated MSS and trace replay.
 
-``MSSSystem.replay(records)`` pushes a trace through the full simulator --
-MSCP, bitfile movers, disk array, tape silo, shelf station, operators --
-and returns the same records with *simulated* startup latencies and
-transfer times, plus a :class:`MetricsCollector` holding the Section 5.1.1
-decomposition.
+``MSSSystem.replay_columns(batches, path_of)`` pushes a batch stream
+through the full simulator -- MSCP, bitfile movers, disk array, tape
+silo, shelf station, operators -- and returns the same batches with
+*simulated* startup latencies and transfer times, plus a
+:class:`MetricsCollector` holding the Section 5.1.1 decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,12 +21,11 @@ from repro.mss.mscp import MSCP, MSCPConfig
 from repro.mss.operators import OperatorConfig, OperatorPool
 from repro.mss.request import MSSRequest
 from repro.mss.tape import ShelfStation, TapeConfig, TapeSilo
-from repro.trace.record import Device, TraceRecord
+from repro.trace.record import Device
 from repro.util.rng import SeedSequenceFactory
 
 if TYPE_CHECKING:
     from repro.engine.batch import EventBatch
-    from repro.namespace.model import Namespace
 
 
 @dataclass(frozen=True)
@@ -106,72 +105,23 @@ class MSSSystem:
     # ------------------------------------------------------------------
     # Trace replay
 
-    def replay(
-        self, records: Iterable[TraceRecord]
-    ) -> Tuple[List[TraceRecord], MetricsCollector]:
-        """Replay a trace; returns (records with simulated times, metrics).
-
-        Failed references pass through untouched (the paper excludes them
-        from latency statistics).  Records must be time-ordered.
-        """
-        requests: List[Tuple[TraceRecord, Optional[MSSRequest]]] = []
-        for record in records:
-            if record.is_error:
-                requests.append((record, None))
-                continue
-            request = self.submit(
-                path=record.mss_path,
-                size=record.file_size,
-                is_write=record.is_write,
-                device=record.storage_device,
-                when=record.start_time,
-            )
-            requests.append((record, request))
-        self.run()
-        out: List[TraceRecord] = []
-        for record, request in requests:
-            if request is None:
-                out.append(record)
-                continue
-            out.append(
-                record.with_times(
-                    startup_latency=request.startup_latency,
-                    transfer_time=request.transfer_time,
-                )
-            )
-        return out, self.metrics
-
-    def replay_batches(
-        self, batches: Iterable["EventBatch"], namespace: "Namespace"
-    ) -> Tuple[List[TraceRecord], MetricsCollector]:
-        """Replay a columnar batch stream.
-
-        Batches flow straight from the generator; the record-view adapter
-        materializes per-request views lazily, so no intermediate record
-        list exists before submission.
-        """
-        from repro.engine.records import records_from_batches
-
-        return self.replay(records_from_batches(batches, namespace))
-
     def replay_columns(
-        self, batches: Iterable["EventBatch"], namespace: "Namespace"
+        self, batches: Iterable["EventBatch"], path_of: Callable[[int], str]
     ) -> Tuple[List["EventBatch"], MetricsCollector]:
-        """Replay a batch stream and return it *as batches*.
+        """Replay a time-ordered batch stream and return it *as batches*.
 
-        The columnar twin of :meth:`replay`: requests are submitted
-        straight from the columns (no ``TraceRecord`` is ever built) and
-        the simulated startup latencies and transfer times come back as
-        fresh ``latency`` / ``transfer`` columns.  Failed references pass
-        through with their original timings, as in :meth:`replay`.
-        Submission order, parameters and seeds match :meth:`replay`
-        exactly, so latencies and metrics are bit-identical.
+        Requests are submitted straight from the columns, in stream
+        order, with ``path_of(file_id)`` naming each file (a namespace's
+        :meth:`~repro.namespace.model.Namespace.path_of`, or the path
+        list :func:`repro.trace.store.batches_from_records` fills in).
+        The simulated startup latencies and transfer times come back as
+        fresh ``latency`` / ``transfer`` columns.  Failed references are
+        not submitted and keep their original timings.
         """
         from repro.engine.batch import DEVICE_ORDER, EventBatch
 
         batches = list(batches)
         pending: List[Tuple[int, int, MSSRequest]] = []
-        path_of = namespace.path_of
         for batch_no, batch in enumerate(batches):
             rows = zip(
                 batch.file_id.tolist(),
@@ -221,10 +171,3 @@ class MSSSystem:
         ]
         return out, self.metrics
 
-
-def replay_trace(
-    records: Iterable[TraceRecord], config: Optional[MSSConfig] = None
-) -> Tuple[List[TraceRecord], MetricsCollector]:
-    """Convenience: build a system and replay a trace through it."""
-    system = MSSSystem(config)
-    return system.replay(records)

@@ -12,7 +12,7 @@ without re-parsing text.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -26,7 +26,9 @@ __all__ = ["TraceStore", "batches_from_records", "import_trace_file"]
 
 
 def batches_from_records(
-    records: Iterable[TraceRecord], chunk_size: int = DEFAULT_CHUNK_SIZE
+    records: Iterable[TraceRecord],
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    paths: Optional[List[str]] = None,
 ) -> Iterator[EventBatch]:
     """A record stream as columnar batches, interning paths to file ids.
 
@@ -34,6 +36,9 @@ def batches_from_records(
     ``mss_path`` -- the grouping the columnar analyses (reference counts,
     per-file gaps) need.  NO_SUCH_FILE errors get negative ids, matching
     the generator's convention for references to never-existed files.
+    When ``paths`` is given (an empty list), each newly interned path is
+    appended to it, so ``paths[file_id]`` names every non-negative id
+    yielded so far.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -60,7 +65,11 @@ def batches_from_records(
             n_missing += 1
             file_id = -n_missing
         else:
-            file_id = ids.setdefault(record.mss_path, len(ids))
+            file_id = ids.get(record.mss_path)
+            if file_id is None:
+                file_id = ids[record.mss_path] = len(ids)
+                if paths is not None:
+                    paths.append(record.mss_path)
         rows.append(
             (
                 file_id,

@@ -5,33 +5,44 @@ import pytest
 
 from repro.analysis import (
     directory_distribution,
-    dynamic_distribution,
-    file_interreference,
+    dynamic_distribution_from_batches,
+    file_interreference_from_batches,
     filestore_statistics,
-    hourly_profile,
-    latency_distributions,
-    overall_statistics,
-    rate_series,
-    reference_counts,
-    secular_series,
+    hourly_profile_from_batches,
+    latency_distributions_from_batches,
+    overall_statistics_from_batches,
+    rate_series_from_batches,
+    reference_counts_from_batches,
+    secular_series_from_batches,
     static_distribution,
-    system_interarrivals,
+    system_interarrivals_from_batches,
     weekend_read_dip,
-    weekly_profile,
+    weekly_profile_from_batches,
     working_hours_lift,
     write_flatness,
 )
-from repro.trace.filters import dedupe_for_file_analysis, strip_errors
-from repro.trace.record import Device, make_read
+from repro.engine.batch import EventBatch
+from repro.engine.stream import dedupe_blocks, strip_errors
+from repro.trace.record import Device
 from repro.util.units import DAY, HOUR, MB
+
+
+def good(trace):
+    """The Section 5.1 error-stripped stream."""
+    return strip_errors(trace.iter_batches())
+
+
+def deduped(trace):
+    """The Section 5.3 stream: error strip plus the eight-hour dedupe."""
+    return dedupe_blocks(good(trace))
 
 
 # ---------------------------------------------------------------------------
 # Table 3 / overall
 
 
-def test_overall_statistics_render_and_compare(calib_records):
-    analysis = overall_statistics(iter(calib_records))
+def test_overall_statistics_render_and_compare(calib_trace):
+    analysis = overall_statistics_from_batches(calib_trace.iter_batches())
     out = analysis.render()
     assert "References" in out and "Secs to first byte" in out
     comp = analysis.comparison()
@@ -57,56 +68,56 @@ def test_filestore_statistics(calib_trace, calib_config):
 # Rates (Figures 4-6)
 
 
-def test_hourly_profile_shape(calib_records):
-    profile = hourly_profile(iter(calib_records))
+def test_hourly_profile_shape(calib_trace):
+    profile = hourly_profile_from_batches(good(calib_trace))
     assert len(profile.bin_labels) == 24
     assert working_hours_lift(profile) > 3.0
     assert write_flatness(profile) < 0.3
     assert profile.read_peak_to_trough() > profile.write_peak_to_trough()
 
 
-def test_weekly_profile_shape(calib_records):
-    profile = weekly_profile(iter(calib_records))
+def test_weekly_profile_shape(calib_trace):
+    profile = weekly_profile_from_batches(good(calib_trace))
     assert len(profile.bin_labels) == 7
     dip = weekend_read_dip(profile)
     assert 0.3 < dip < 0.8
     assert write_flatness(profile) < 0.2
 
 
-def test_secular_series_growth(calib_records):
-    profile = secular_series(iter(calib_records))
+def test_secular_series_growth(calib_trace):
+    profile = secular_series_from_batches(good(calib_trace))
     assert len(profile.bin_labels) == 104
     from repro.analysis import read_growth_factor
 
     assert read_growth_factor(profile) > 1.5
 
 
-def test_profile_render(calib_records):
-    profile = hourly_profile(iter(calib_records))
+def test_profile_render(calib_trace):
+    profile = hourly_profile_from_batches(good(calib_trace))
     out = profile.render("Figure 4")
     assert "reads" in out and "writes" in out
 
 
-def test_rates_shape_checks_validate_input(calib_records):
-    weekly = weekly_profile(iter(calib_records))
+def test_rates_shape_checks_validate_input(calib_trace):
+    weekly = weekly_profile_from_batches(good(calib_trace))
     with pytest.raises(ValueError):
         working_hours_lift(weekly)
-    hourly = hourly_profile(iter(calib_records))
+    hourly = hourly_profile_from_batches(good(calib_trace))
     with pytest.raises(ValueError):
         weekend_read_dip(hourly)
 
 
 def test_rates_reject_empty():
     with pytest.raises(ValueError):
-        hourly_profile(iter([]))
+        hourly_profile_from_batches(iter([]))
 
 
 # ---------------------------------------------------------------------------
 # Intervals (Figures 7 and 9)
 
 
-def test_system_interarrivals(calib_records):
-    analysis = system_interarrivals(iter(calib_records))
+def test_system_interarrivals(calib_trace):
+    analysis = system_interarrivals_from_batches(calib_trace.iter_batches())
     assert analysis.mean > 0
     assert 0 <= analysis.fraction_below(10.0) <= 1
     cdf = analysis.cdf()
@@ -114,17 +125,13 @@ def test_system_interarrivals(calib_records):
 
 
 def test_system_interarrivals_rejects_unordered():
-    records = [
-        make_read(Device.MSS_DISK, 10.0, 1, "/a", 1),
-        make_read(Device.MSS_DISK, 5.0, 1, "/b", 1),
-    ]
+    batch = EventBatch.from_columns([0, 1], [1, 1], [10.0, 5.0], [False, False])
     with pytest.raises(ValueError):
-        system_interarrivals(records)
+        system_interarrivals_from_batches([batch])
 
 
-def test_file_interreference(calib_records):
-    deduped = list(dedupe_for_file_analysis(strip_errors(iter(calib_records))))
-    analysis = file_interreference(deduped)
+def test_file_interreference(calib_trace):
+    analysis = file_interreference_from_batches(deduped(calib_trace))
     # Gaps are in seconds; mostly under a few days, tail far beyond.
     assert analysis.fraction_below(DAY) > 0.35
     assert analysis.fraction_below(300 * DAY) < 1.0 or True
@@ -132,18 +139,17 @@ def test_file_interreference(calib_records):
 
 
 def test_file_interreference_needs_rereferences():
-    records = [make_read(Device.MSS_DISK, 0.0, 1, "/only", 1)]
+    batch = EventBatch.from_columns([0], [1], [0.0], [False])
     with pytest.raises(ValueError):
-        file_interreference(records)
+        file_interreference_from_batches([batch])
 
 
 # ---------------------------------------------------------------------------
 # Reference counts (Figure 8)
 
 
-def test_reference_counts_headlines(calib_records):
-    deduped = dedupe_for_file_analysis(strip_errors(iter(calib_records)))
-    counts = reference_counts(deduped)
+def test_reference_counts_headlines(calib_trace):
+    counts = reference_counts_from_batches(deduped(calib_trace))
     assert counts.fraction_never_read() == pytest.approx(0.50, abs=0.05)
     assert counts.fraction_never_written() == pytest.approx(0.21, abs=0.04)
     assert counts.fraction_write_once_never_read() == pytest.approx(0.44, abs=0.05)
@@ -153,9 +159,8 @@ def test_reference_counts_headlines(calib_records):
     assert "Figure 8" in counts.render()
 
 
-def test_reference_counts_cdf_variants(calib_records):
-    deduped = dedupe_for_file_analysis(strip_errors(iter(calib_records)))
-    counts = reference_counts(deduped)
+def test_reference_counts_cdf_variants(calib_trace):
+    counts = reference_counts_from_batches(deduped(calib_trace))
     for which in ("read", "write", "total"):
         cdf = counts.cdf(which)
         assert cdf.fractions[-1] == pytest.approx(1.0)
@@ -165,15 +170,15 @@ def test_reference_counts_cdf_variants(calib_records):
 
 def test_reference_counts_rejects_empty():
     with pytest.raises(ValueError):
-        reference_counts([])
+        reference_counts_from_batches([])
 
 
 # ---------------------------------------------------------------------------
 # Sizes (Figures 10-12)
 
 
-def test_dynamic_distribution(calib_records):
-    dist = dynamic_distribution(iter(calib_records))
+def test_dynamic_distribution(calib_trace):
+    dist = dynamic_distribution_from_batches(good(calib_trace))
     assert dist.fraction_requests_under(1 * MB) == pytest.approx(0.40, abs=0.07)
     assert dist.write_bump_strength() > 1.2
     assert dist.files_read_cdf().fractions[-1] == pytest.approx(1.0)
@@ -200,11 +205,11 @@ def test_directory_distribution(calib_trace):
 
 
 # ---------------------------------------------------------------------------
-# Latency (Figure 3) from records with analytic latencies
+# Latency (Figure 3) from a stream with analytic latencies
 
 
-def test_latency_distributions_from_records(calib_records):
-    dists = latency_distributions(iter(calib_records))
+def test_latency_distributions_from_records(calib_trace):
+    dists = latency_distributions_from_batches(good(calib_trace))
     assert dists.mean(Device.MSS_DISK) < dists.mean(Device.TAPE_SILO)
     assert dists.mean(Device.TAPE_SILO) < dists.mean(Device.TAPE_SHELF)
     speedup = dists.silo_vs_manual_speedup()
@@ -218,15 +223,21 @@ def test_latency_distributions_from_records(calib_records):
 # Periodicity
 
 
-def test_rate_series_binning(calib_records):
-    series = rate_series(iter(calib_records), bin_seconds=DAY, direction=None)
+def test_rate_series_binning(calib_trace):
+    series = rate_series_from_batches(
+        good(calib_trace), bin_seconds=DAY, direction=None
+    )
     assert series.size >= 700
     assert series.sum() > 0
-    reads = rate_series(iter(calib_records), bin_seconds=DAY, direction=False)
-    writes = rate_series(iter(calib_records), bin_seconds=DAY, direction=True)
+    reads = rate_series_from_batches(
+        good(calib_trace), bin_seconds=DAY, direction=False
+    )
+    writes = rate_series_from_batches(
+        good(calib_trace), bin_seconds=DAY, direction=True
+    )
     np.testing.assert_allclose(reads + writes, series)
 
 
 def test_rate_series_rejects_empty():
     with pytest.raises(ValueError):
-        rate_series(iter([]), bin_seconds=HOUR)
+        rate_series_from_batches(iter([]), bin_seconds=HOUR)

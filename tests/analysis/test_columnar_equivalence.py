@@ -1,49 +1,45 @@
 """Columnar-vs-record equivalence: every figure/table reduction.
 
-The batch-native analyses must produce the same numbers the legacy
-record walks do.  Integer reductions (counts, byte totals, sample
-vectors, gaps) are required to match *exactly*; floating means computed
-with numpy instead of streaming Welford updates may differ by rounding
-error, so they are pinned at 1e-12 relative.
+The batch analyses must produce the same numbers the reference record
+walks in :mod:`tests.oracles.records` do.  Integer reductions (counts,
+byte totals, sample vectors, gaps) are required to match *exactly*;
+floating means computed with numpy instead of streaming Welford updates
+may differ by rounding error, so they are pinned at 1e-12 relative.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.intervals import (
-    file_interreference,
     file_interreference_from_batches,
-    system_interarrivals,
     system_interarrivals_from_batches,
 )
-from repro.analysis.latency import (
-    latency_distributions,
-    latency_distributions_from_batches,
-)
-from repro.analysis.overall import (
-    overall_statistics,
-    overall_statistics_from_batches,
-)
-from repro.analysis.periodicity import rate_series, rate_series_from_batches
+from repro.analysis.latency import latency_distributions_from_batches
+from repro.analysis.overall import overall_statistics_from_batches
+from repro.analysis.periodicity import rate_series_from_batches
 from repro.analysis.rates import (
-    hourly_profile,
     hourly_profile_from_batches,
-    secular_series,
     secular_series_from_batches,
-    weekly_profile,
     weekly_profile_from_batches,
 )
-from repro.analysis.refcounts import (
-    reference_counts,
-    reference_counts_from_batches,
-)
-from repro.analysis.sizes import (
-    dynamic_distribution,
-    dynamic_distribution_from_batches,
-)
+from repro.analysis.refcounts import reference_counts_from_batches
+from repro.analysis.sizes import dynamic_distribution_from_batches
 from repro.core.study import Study, StudyConfig
+from repro.trace.filters import dedupe_for_file_analysis, strip_errors
 from repro.trace.record import Device
-from repro.workload.config import WorkloadConfig
+from tests.oracles.records import (
+    dynamic_distribution,
+    file_interreference,
+    hourly_profile,
+    latency_distributions,
+    mss_replay,
+    overall_statistics,
+    rate_series,
+    reference_counts,
+    secular_series,
+    system_interarrivals,
+    weekly_profile,
+)
 
 EXACT = 0.0
 ULPS = 1e-12
@@ -57,12 +53,12 @@ def study(calib_config):
 
 @pytest.fixture(scope="module")
 def good_records(study):
-    return list(study.good_records())
+    return list(strip_errors(study.iter_records()))
 
 
 @pytest.fixture(scope="module")
-def deduped_records(study):
-    return list(study.deduped_records())
+def deduped_records(good_records):
+    return list(dedupe_for_file_analysis(iter(good_records)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +206,14 @@ def test_des_replay_columns_match_record_replay():
     trace = Study(config).trace
     batches = list(trace.iter_batches(chunk_size=1024))
 
-    legacy_system = MSSSystem(MSSConfig(seed=0))
-    legacy_records, legacy_metrics = legacy_system.replay(
-        records_from_batches(iter(batches), trace.namespace)
+    legacy_records, legacy_metrics = mss_replay(
+        MSSSystem(MSSConfig(seed=0)),
+        records_from_batches(iter(batches), trace.namespace),
     )
     columnar_system = MSSSystem(MSSConfig(seed=0))
-    replayed, metrics = columnar_system.replay_columns(batches, trace.namespace)
+    replayed, metrics = columnar_system.replay_columns(
+        batches, trace.namespace.path_of
+    )
     columnar_records = list(records_from_batches(replayed, trace.namespace))
 
     assert columnar_records == legacy_records

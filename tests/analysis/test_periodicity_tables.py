@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.periodicity import (
-    analyze_direction,
-    periodicity_comparison,
+    analyze_direction_from_batches,
+    periodicity_comparison_from_batches,
 )
 from repro.analysis.tables import (
     crossover_size,
@@ -24,28 +24,36 @@ from repro.util.units import MB
 # Periodicity (abstract claim)
 
 
-def test_reads_show_daily_period(calib_records):
-    report = analyze_direction(iter(calib_records), direction=False)
+def test_reads_show_daily_period(calib_trace):
+    report = analyze_direction_from_batches(
+        calib_trace.iter_batches(), direction=False
+    )
     assert report.has_period(24.0)
     # Hourly byte series are noisy at test scale; the lag-24h correlation
     # just needs to be clearly positive.
     assert report.daily_autocorrelation > 0.05
 
 
-def test_reads_show_weekly_period(calib_records):
-    report = analyze_direction(iter(calib_records), direction=False)
+def test_reads_show_weekly_period(calib_trace):
+    report = analyze_direction_from_batches(
+        calib_trace.iter_batches(), direction=False
+    )
     assert report.has_period(168.0)
 
 
-def test_writes_less_periodic_than_reads(calib_records):
-    reads = analyze_direction(iter(calib_records), direction=False)
-    writes = analyze_direction(iter(calib_records), direction=True)
+def test_writes_less_periodic_than_reads(calib_trace):
+    reads = analyze_direction_from_batches(
+        calib_trace.iter_batches(), direction=False
+    )
+    writes = analyze_direction_from_batches(
+        calib_trace.iter_batches(), direction=True
+    )
     assert reads.daily_autocorrelation > writes.daily_autocorrelation
     assert reads.periodicity_strength > writes.periodicity_strength
 
 
-def test_periodicity_comparison(calib_records):
-    comp = periodicity_comparison(lambda: iter(calib_records))
+def test_periodicity_comparison(calib_trace):
+    comp = periodicity_comparison_from_batches(calib_trace.iter_batches)
     assert comp.within(0.01)  # all three indicator rows must hit
 
 

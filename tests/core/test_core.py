@@ -63,12 +63,12 @@ def study():
 
 def test_study_lazy_trace(study):
     assert study.trace.n_events > 0
-    assert study.records()  # materializes without DES
+    assert list(study.iter_records())  # materializes without DES
 
 
 def test_study_streams(study):
-    good = sum(1 for _ in study.good_records())
-    deduped = sum(1 for _ in study.deduped_records())
+    good = sum(len(batch) for batch in study.iter_batches("good"))
+    deduped = sum(len(batch) for batch in study.iter_batches("deduped"))
     assert 0 < deduped < good < study.trace.n_events + 1
 
 
@@ -134,7 +134,7 @@ def test_scenario_study_rejects_des_latencies():
 
 def test_dense_study_runs_des():
     dense = Study(StudyConfig.dense(scale=0.004, seed=7, days=4.0))
-    records = dense.records()
+    records = list(dense.iter_records())
     assert dense.mss_metrics.total_completed == sum(
         1 for r in records if not r.is_error
     )
@@ -189,9 +189,15 @@ def test_cli_generate_and_analyze(tmp_path, capsys):
     out = tmp_path / "t.rt"
     assert main(["generate", "--scale", "0.002", "--seed", "7", str(out)]) == 0
     assert out.exists()
+    capsys.readouterr()
     assert main(["analyze", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "Table 3" in printed
+    # The text file and its imported store are one stream: same report.
+    assert main(["trace", "import", str(out), str(tmp_path / "store")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "store")]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_cli_policies(capsys):
@@ -206,11 +212,25 @@ def test_cli_policies(capsys):
 
 
 def test_cli_replay(tmp_path, capsys):
+    from repro.mss.system import MSSConfig, MSSSystem
+    from repro.trace.reader import read_trace
+    from tests.oracles.records import mss_replay
+
     out = tmp_path / "t.rt"
     main(["generate", "--scale", "0.002", "--seed", "7", "--days", "4", str(out)])
-    assert main(["replay", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "startup" in printed
+    capsys.readouterr()
+    assert main(["replay", str(out), "--seed", "3"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "startup" in printed[0]
+    # Every device row matches the reference record replay of the file.
+    _, metrics = mss_replay(MSSSystem(MSSConfig(seed=3)), read_trace(out))
+    expected = [
+        f"{name:12s} n={int(row['count']):8d} startup={row['startup_mean']:8.1f}s "
+        f"(queue {row['device_queue_mean']:6.1f}s, mount {row['mount_mean']:6.1f}s, "
+        f"seek {row['seek_mean']:5.1f}s)"
+        for name, row in metrics.summary().items()
+    ]
+    assert printed == expected
 
 
 # ---------------------------------------------------------------------------

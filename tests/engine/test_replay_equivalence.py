@@ -2,7 +2,7 @@
 
 ``HSM.replay`` over :class:`EventBatch`es must produce metrics identical
 (exact counts; derived latencies within 1e-9) to pushing the same events
-through the legacy per-tuple path.
+through the per-tuple reference loop in :mod:`tests.oracles.records`.
 """
 
 import dataclasses
@@ -11,7 +11,8 @@ import pytest
 
 from repro.engine import prepare_stream, replay_policy
 from repro.engine.batch import rechunk
-from repro.hsm.manager import HSM, HSMConfig, events_from_trace, run_policy
+from repro.hsm.manager import HSM, HSMConfig
+from tests.oracles.records import events_from_trace, run_policy
 
 POLICIES = ("lru", "stp", "saac", "fifo", "mru", "largest-first", "opt")
 

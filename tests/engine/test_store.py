@@ -1,9 +1,12 @@
 """Columnar trace-store tests: round-trip, cache keying, memmap behavior."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.batch import EventBatch, rechunk
 from repro.engine.store import (
@@ -380,3 +383,62 @@ def test_trace_verify_cli_exit_codes(tmp_path, capsys):
     shard.unlink()
     assert main(["trace", "verify", str(tmp_path / "s")]) == 1
     assert "missing shard" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Round trip under arbitrary shard boundaries (property)
+
+
+@st.composite
+def cut_streams(draw):
+    """Random columns cut into batches at random (possibly repeated,
+    hence empty-batch) boundaries, with a random subset of the optional
+    columns."""
+    n = draw(st.integers(0, 40))
+    ints = st.integers(-(2**40), 2**40)
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    columns = {
+        "file_id": draw(st.lists(ints, min_size=n, max_size=n)),
+        "size": draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)),
+        "time": np.cumsum(
+            draw(st.lists(st.floats(0, 1e6), min_size=n, max_size=n))
+        ),
+        "is_write": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        "device": draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        "error": draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+    }
+    optional = draw(st.sets(st.sampled_from(["user", "latency", "transfer"])))
+    if "user" in optional:
+        columns["user"] = draw(
+            st.lists(st.integers(0, 2**31 - 1), min_size=n, max_size=n)
+        )
+    for name in {"latency", "transfer"} & optional:
+        columns[name] = draw(st.lists(floats, min_size=n, max_size=n))
+    whole = EventBatch.from_columns(**columns)
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    bounds = [0] + cuts + [n]
+    return whole, [whole.slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@given(stream=cut_streams(), chunk_size=st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_store_round_trip_under_arbitrary_shard_boundaries(stream, chunk_size):
+    whole, batches = stream
+    with tempfile.TemporaryDirectory() as tmp:
+        store = TraceStore.write(f"{tmp}/s", batches)
+        assert store.n_shards == sum(1 for b in batches if len(b))
+        assert store.n_events == len(whole)
+        shards = store.batches()
+        chunks = store.batches(chunk_size=chunk_size)
+        assert all(0 < len(b) <= chunk_size for b in chunks)
+        for read in (shards, chunks):
+            for name in ALL_COLUMNS:
+                want = getattr(whole, name)
+                if not read or want is None:
+                    assert all(getattr(b, name) is None for b in read), name
+                    continue
+                got = np.concatenate([getattr(b, name) for b in read])
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+        if not len(whole):
+            assert shards == [] and chunks == []

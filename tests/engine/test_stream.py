@@ -11,7 +11,7 @@ from repro.engine.stream import (
     hsm_event_batches,
     strip_errors,
 )
-from repro.hsm.manager import events_from_trace
+from tests.oracles.records import events_from_trace
 
 
 def test_strip_errors_drops_failed_rows():
@@ -55,8 +55,8 @@ def test_deduper_rejects_negative_ids():
 
 
 def test_dedupe_matches_record_filter_exactly(tiny_trace):
-    """The columnar pipeline reproduces the legacy record walk event for
-    event, across batch boundaries (small chunks force carried state)."""
+    """The columnar pipeline reproduces the reference record walk event
+    for event, across batch boundaries (small chunks force carried state)."""
     legacy = events_from_trace(tiny_trace, deduped=True)
     batches = collect(hsm_event_batches(tiny_trace, deduped=True, chunk_size=257))
     engine = [

@@ -9,31 +9,39 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    dynamic_distribution,
-    file_interreference,
-    hourly_profile,
-    overall_statistics,
+    dynamic_distribution_from_batches,
+    file_interreference_from_batches,
+    hourly_profile_from_batches,
+    overall_statistics_from_batches,
     read_growth_factor,
-    reference_counts,
-    secular_series,
+    reference_counts_from_batches,
+    secular_series_from_batches,
     weekend_read_dip,
-    weekly_profile,
+    weekly_profile_from_batches,
     working_hours_lift,
     write_flatness,
 )
 from repro.core import paper
-from repro.trace.filters import (
-    dedupe_for_file_analysis,
-    fraction_rereferenced_within,
-    strip_errors,
-)
+from repro.engine.stream import dedupe_blocks
+from repro.engine.stream import strip_errors as strip_batch_errors
+from repro.trace.filters import fraction_rereferenced_within, strip_errors
 from repro.trace.record import Device
 from repro.util.units import DAY, MB
 
 
+def good(trace):
+    """The Section 5.1 error-stripped stream."""
+    return strip_batch_errors(trace.iter_batches())
+
+
+def deduped(trace):
+    """The Section 5.3 stream: error strip plus the eight-hour dedupe."""
+    return dedupe_blocks(good(trace))
+
+
 @pytest.fixture(scope="module")
-def stats(calib_records):
-    return overall_statistics(iter(calib_records)).stats
+def stats(calib_trace):
+    return overall_statistics_from_batches(calib_trace.iter_batches()).stats
 
 
 def test_read_write_ratio_two_to_one(stats):
@@ -74,10 +82,8 @@ def test_overall_average_size(stats):
     )
 
 
-def test_reference_count_marginals(calib_records):
-    counts = reference_counts(
-        dedupe_for_file_analysis(strip_errors(iter(calib_records)))
-    )
+def test_reference_count_marginals(calib_trace):
+    counts = reference_counts_from_batches(deduped(calib_trace))
     assert counts.fraction_never_read() == pytest.approx(0.50, abs=0.03)
     assert counts.fraction_never_written() == pytest.approx(0.21, abs=0.03)
     assert counts.fraction_written_once() == pytest.approx(0.65, abs=0.03)
@@ -94,9 +100,8 @@ def test_rereference_within_eight_hours(calib_records):
     assert 0.25 <= fraction <= 0.45
 
 
-def test_file_gap_shape(calib_records):
-    deduped = list(dedupe_for_file_analysis(strip_errors(iter(calib_records))))
-    analysis = file_interreference(deduped)
+def test_file_gap_shape(calib_trace):
+    analysis = file_interreference_from_batches(deduped(calib_trace))
     # Known deviation: paper says 70 % under a day; the dedupe-consistent
     # generator tops out near 0.55 (see EXPERIMENTS.md).
     assert analysis.fraction_below(DAY) > 0.45
@@ -104,25 +109,25 @@ def test_file_gap_shape(calib_records):
     assert analysis.fraction_below(100 * DAY) < 0.995
 
 
-def test_dynamic_sizes(calib_records):
-    dist = dynamic_distribution(iter(calib_records))
+def test_dynamic_sizes(calib_trace):
+    dist = dynamic_distribution_from_batches(good(calib_trace))
     assert dist.fraction_requests_under(1 * MB) == pytest.approx(
         paper.FRACTION_REQUESTS_UNDER_1MB, abs=0.06
     )
     assert dist.write_bump_strength() > 1.5
 
 
-def test_daily_and_weekly_shape(calib_records):
-    hourly = hourly_profile(iter(calib_records))
+def test_daily_and_weekly_shape(calib_trace):
+    hourly = hourly_profile_from_batches(good(calib_trace))
     assert working_hours_lift(hourly) > 3.5
     assert write_flatness(hourly) < 0.30
-    weekly = weekly_profile(iter(calib_records))
+    weekly = weekly_profile_from_batches(good(calib_trace))
     assert 0.35 < weekend_read_dip(weekly) < 0.75
     assert write_flatness(weekly) < 0.15
 
 
-def test_secular_growth(calib_records):
-    series = secular_series(iter(calib_records))
+def test_secular_growth(calib_trace):
+    series = secular_series_from_batches(good(calib_trace))
     assert read_growth_factor(series) == pytest.approx(2.5, rel=0.25)
     writes = series.write_gb_per_hour
     write_growth = writes[-26:].mean() / writes[:26].mean()

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.analysis import from_metrics, system_interarrivals
+from repro.analysis import (
+    from_metrics,
+    overall_statistics_from_batches,
+    system_interarrivals_from_batches,
+)
 from repro.core import paper
-from repro.mss.system import MSSConfig, replay_trace
+from repro.mss.system import MSSConfig, MSSSystem
 from repro.trace.reader import read_trace
+from repro.trace.store import batches_from_records
 from repro.trace.record import Device
 from repro.util.units import DAY
 from repro.workload.config import WorkloadConfig
@@ -15,13 +20,11 @@ from repro.workload.generator import generate_trace
 
 def test_generate_write_read_analyze_roundtrip(tmp_path, tiny_trace):
     """Trace -> file -> records -> statistics, end to end."""
-    from repro.analysis import overall_statistics
-
     path = tmp_path / "roundtrip.rt"
     tiny_trace.write(path)
     records = read_trace(path)
     assert len(records) == tiny_trace.n_events
-    stats = overall_statistics(records).stats
+    stats = overall_statistics_from_batches(batches_from_records(records)).stats
     assert stats.analyzed_references > 0
     assert stats.error_fraction == pytest.approx(0.0476, abs=0.01)
 
@@ -37,8 +40,9 @@ def test_trace_file_is_compact(tmp_path, tiny_trace):
 
 
 def test_des_replay_of_dense_trace_matches_paper_latencies(dense_trace):
-    records = dense_trace.records()
-    replayed, metrics = replay_trace(records, MSSConfig(seed=9))
+    _, metrics = MSSSystem(MSSConfig(seed=9)).replay_columns(
+        dense_trace.iter_batches(), dense_trace.namespace.path_of
+    )
     dists = from_metrics(metrics)
     # Table 3 orderings and rough magnitudes.
     assert dists.mean(Device.MSS_DISK) == pytest.approx(
@@ -56,20 +60,20 @@ def test_des_replay_of_dense_trace_matches_paper_latencies(dense_trace):
 
 
 def test_dense_trace_interarrival_clustering(dense_trace):
-    analysis = system_interarrivals(dense_trace.records())
+    analysis = system_interarrivals_from_batches(dense_trace.iter_batches())
     # Figure 7: 90 % of interarrivals under 10 s at full density.
     assert analysis.fraction_below(10.0) > 0.75
 
 
 def test_hsm_over_des_consistency(tiny_trace):
     """HSM events derived from the trace agree with direct counting."""
-    from repro.hsm import events_from_trace
+    from repro.engine import prepare_stream
     from repro.trace.filters import dedupe_for_file_analysis, strip_errors
 
-    events = events_from_trace(tiny_trace)
+    batches = prepare_stream(tiny_trace)
     deduped = list(dedupe_for_file_analysis(strip_errors(tiny_trace.iter_records())))
-    assert len(events) == len(deduped)
-    reads = sum(1 for _, _, _, w in events if not w)
+    assert sum(len(b) for b in batches) == len(deduped)
+    reads = sum(int((~b.is_write).sum()) for b in batches)
     assert reads == sum(1 for r in deduped if r.is_read)
 
 
@@ -96,8 +100,9 @@ def test_short_horizon_trace_supports_des():
         scale=0.004, seed=2, duration_seconds=3 * DAY, fill_latencies=False
     )
     trace = generate_trace(config)
-    replayed, metrics = replay_trace(trace.records(), MSSConfig(seed=3))
+    replayed, metrics = MSSSystem(MSSConfig(seed=3)).replay_columns(
+        trace.iter_batches(), trace.namespace.path_of
+    )
     assert metrics.total_completed > 0
-    good = [r for r in replayed if not r.is_error]
-    latencies = np.array([r.startup_latency for r in good])
+    latencies = np.concatenate([b.latency[b.error == 0] for b in replayed])
     assert np.all(latencies > 0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.batch import EventBatch
 from repro.migration.basic import (
     FIFOPolicy,
     LRUPolicy,
@@ -16,6 +17,7 @@ from repro.migration.registry import available_policies, make_policy, register_p
 from repro.migration.saac import SAACPolicy
 from repro.migration.stp import SpaceTimePolicy, classic_stp, stp_14
 from repro.util.units import DAY
+from tests.oracles.records import opt_from_events
 
 
 def _loaded(policy: MigrationPolicy):
@@ -204,8 +206,15 @@ def test_opt_next_reference_after():
 
 
 def test_opt_from_events():
-    policy = OptimalPolicy.from_events([(1, 30.0), (1, 10.0), (2, 5.0)])
+    batch = EventBatch.from_columns([1, 1, 2], [1, 1, 1], [30.0, 10.0, 5.0],
+                                    [False] * 3)
+    policy = OptimalPolicy.from_batches([batch])
     assert policy.next_reference_after(1, 0.0) == 10.0
+    reference = opt_from_events([(1, 30.0), (1, 10.0), (2, 5.0)])
+    for file_id, now in ((1, 0.0), (1, 10.0), (1, 30.0), (2, 0.0), (3, 0.0)):
+        assert policy.next_reference_after(file_id, now) == (
+            reference.next_reference_after(file_id, now)
+        )
 
 
 # ---------------------------------------------------------------------------

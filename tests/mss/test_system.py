@@ -6,8 +6,8 @@ import pytest
 from repro.mss.metrics import MetricsCollector
 from repro.mss.network import ncar_topology
 from repro.mss.request import MSSRequest
-from repro.mss.system import MSSConfig, MSSSystem, replay_trace
-from repro.trace.record import Device, make_read, make_write
+from repro.mss.system import MSSConfig, MSSSystem
+from repro.trace.record import Device
 from repro.util.units import MB
 
 
@@ -74,37 +74,41 @@ def test_submit_rejects_unknown_device():
         )
 
 
+def _head(trace, n):
+    """The first ``n`` events of a trace as one batch."""
+    return next(trace.iter_batches(chunk_size=n))
+
+
+def _replay(trace, batches, seed):
+    system = MSSSystem(MSSConfig(seed=seed))
+    return system.replay_columns(batches, trace.namespace.path_of)
+
+
 def test_replay_preserves_record_count_and_order(dense_trace):
-    records = dense_trace.records()[:2000]
-    replayed, metrics = replay_trace(records, MSSConfig(seed=2))
-    assert len(replayed) == len(records)
-    for original, new in zip(records, replayed):
-        assert new.mss_path == original.mss_path
-        assert new.start_time == original.start_time
-        assert new.file_size == original.file_size
-    assert metrics.total_completed == sum(1 for r in records if not r.is_error)
+    batch = _head(dense_trace, 2000)
+    (replayed,), metrics = _replay(dense_trace, [batch], seed=2)
+    assert len(replayed) == len(batch)
+    for name in ("file_id", "time", "size", "is_write", "device", "error"):
+        assert np.array_equal(getattr(replayed, name), getattr(batch, name))
+    assert metrics.total_completed == int((batch.error == 0).sum())
 
 
 def test_replay_fills_latencies(dense_trace):
-    records = dense_trace.records()[:2000]
-    replayed, _ = replay_trace(records, MSSConfig(seed=3))
-    good = [r for r in replayed if not r.is_error]
-    assert all(r.startup_latency > 0 for r in good)
-    assert all(r.transfer_time > 0 for r in good)
+    (replayed,), _ = _replay(dense_trace, [_head(dense_trace, 2000)], seed=3)
+    good = replayed.good()
+    assert np.all(good.latency > 0)
+    assert np.all(good.transfer > 0)
 
 
 def test_replay_passes_errors_through(dense_trace):
-    records = dense_trace.records()[:3000]
-    errors_in = [r for r in records if r.is_error]
-    replayed, _ = replay_trace(records, MSSConfig(seed=4))
-    errors_out = [r for r in replayed if r.is_error]
-    assert len(errors_in) == len(errors_out)
+    batch = _head(dense_trace, 3000)
+    (replayed,), _ = _replay(dense_trace, [batch], seed=4)
+    assert int((replayed.error != 0).sum()) == int((batch.error != 0).sum())
 
 
 def test_replay_latency_ordering(dense_trace):
     """Disk must beat silo, silo must beat shelf (Figure 3 ordering)."""
-    records = dense_trace.records()
-    _, metrics = replay_trace(records, MSSConfig(seed=5))
+    _, metrics = _replay(dense_trace, dense_trace.iter_batches(), seed=5)
     disk = np.mean(metrics.device_samples(Device.MSS_DISK))
     silo = np.mean(metrics.device_samples(Device.TAPE_SILO))
     shelf = np.mean(metrics.device_samples(Device.TAPE_SHELF))
@@ -114,10 +118,10 @@ def test_replay_latency_ordering(dense_trace):
 
 
 def test_replay_is_deterministic(dense_trace):
-    records = dense_trace.records()[:1500]
-    a, _ = replay_trace(records, MSSConfig(seed=6))
-    b, _ = replay_trace(records, MSSConfig(seed=6))
-    assert [r.startup_latency for r in a] == [r.startup_latency for r in b]
+    batch = _head(dense_trace, 1500)
+    (a,), _ = _replay(dense_trace, [batch], seed=6)
+    (b,), _ = _replay(dense_trace, [batch], seed=6)
+    assert np.array_equal(a.latency, b.latency)
 
 
 # ---------------------------------------------------------------------------
