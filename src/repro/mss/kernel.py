@@ -1,52 +1,45 @@
 """Discrete-event simulation kernel.
 
-A minimal, deterministic event loop: events are (time, sequence) ordered,
-callbacks run at their scheduled instant, and ties break by scheduling
-order.  Everything in :mod:`repro.mss` -- drives, robots, operators,
-movers -- is built on this loop.
+A minimal, deterministic event loop under everything in :mod:`repro.mss`.
+A pending event is a plain list ``[time, seq, callback]`` on a heap, so
+ties fire in scheduling order (``seq``: arrivals submitted before ``run()``
+win ties with the events they later schedule).  Cancelling sets the
+callback slot to ``None``; the entry is dropped when it reaches the top.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from heapq import heappop, heappush
+from typing import Callable, Deque, List, Optional, Tuple
 
 
 class SimulationError(Exception):
     """Raised on kernel misuse (scheduling in the past, etc.)."""
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
     """Returned by ``schedule``; allows cancelling a pending event."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_entry",)
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
-        self._event.cancelled = True
+        self._entry[2] = None
 
     @property
     def time(self) -> float:
         """Scheduled fire time."""
-        return self._event.time
+        return self._entry[0]
 
     @property
     def cancelled(self) -> bool:
         """Whether the event has been cancelled."""
-        return self._event.cancelled
+        return self._entry[2] is None
 
 
 class Simulator:
@@ -62,15 +55,17 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.now = start_time
-        self._heap: List[_ScheduledEvent] = []
-        self._seq = itertools.count()
+        self._heap: List[list] = []
+        self._next_seq = itertools.count().__next__
         self._events_processed = 0
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
-        return self.schedule_at(self.now + delay, callback)
+        entry = [self.now + delay, self._next_seq(), callback]
+        heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at an absolute simulated time."""
@@ -78,39 +73,48 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}, clock is already at {self.now}"
             )
-        event = _ScheduledEvent(time=time, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        entry = [time, self._next_seq(), callback]
+        heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None when idle."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Process one event; returns False when nothing is pending."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            time, _, callback = heappop(heap)
+            if callback is None:
                 continue
-            self.now = event.time
+            self.now = time
             self._events_processed += 1
-            event.callback()
+            callback()
             return True
         return False
 
     def run(self, until: Optional[float] = None) -> None:
         """Process events until the heap drains (or the clock passes
         ``until``, leaving later events pending)."""
-        while True:
-            next_time = self.peek()
-            if next_time is None:
-                return
-            if until is not None and next_time > until:
+        heap = self._heap
+        limit = float("inf") if until is None else until
+        while heap:
+            entry = heappop(heap)
+            callback = entry[2]
+            if callback is None:
+                continue
+            time = entry[0]
+            if time > limit:
+                heappush(heap, entry)
                 self.now = until
                 return
-            self.step()
+            self.now = time
+            self._events_processed += 1
+            callback()
 
     @property
     def events_processed(self) -> int:
@@ -132,12 +136,11 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: List[Tuple[int, Callable[[], None]]] = []
-        self._wait_seq = itertools.count()
+        #: ``(time queued, callback)`` in arrival order.
+        self._waiters: Deque[Tuple[float, Callable[[], None]]] = deque()
         # Statistics
         self.total_acquisitions = 0
         self.total_wait_time = 0.0
-        self._wait_started: dict = {}
 
     @property
     def in_use(self) -> int:
@@ -156,17 +159,14 @@ class Resource:
             self.total_acquisitions += 1
             callback()
         else:
-            token = next(self._wait_seq)
-            self._wait_started[token] = self.sim.now
-            self._waiters.append((token, callback))
+            self._waiters.append((self.sim.now, callback))
 
     def release(self) -> None:
         """Return one unit, waking the longest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
-            token, callback = self._waiters.pop(0)
-            started = self._wait_started.pop(token)
+            started, callback = self._waiters.popleft()
             self.total_wait_time += self.sim.now - started
             self.total_acquisitions += 1
             callback()

@@ -119,6 +119,7 @@ class MSSSystem:
         not submitted and keep their original timings.
         """
         from repro.engine.batch import DEVICE_ORDER, EventBatch
+        from repro.verify.invariants import check_mss_replay, invariants_enabled
 
         batches = list(batches)
         pending: List[Tuple[int, int, MSSRequest]] = []
@@ -143,6 +144,8 @@ class MSSSystem:
                 )
                 pending.append((batch_no, row_no, request))
         self.run()
+        if invariants_enabled():
+            check_mss_replay(self, batches, [request for _, _, request in pending])
         n_rows = [len(batch) for batch in batches]
         latencies = [
             batch.latency.copy() if batch.latency is not None else np.zeros(n)

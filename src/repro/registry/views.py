@@ -1,11 +1,11 @@
 """Derived read-views over the registry: trajectories and bench files.
 
 ``repro runs trajectory`` renders a named benchmark's metric history
-across every indexed bench run, and ``BENCH_sweep.json`` -- which PR 6
-introduced as a hand-written root file -- is regenerated here as a pure
-view over the index, so the root file and the database can never
-disagree: the benchmark writes a RunRecord, the record is indexed, and
-the file is re-derived from whatever the DB then holds.
+across every indexed bench run, and ``BENCH_sweep.json`` is regenerated
+here from the index merged with the history the file already holds:
+the benchmark writes a RunRecord, the record is indexed, and the file
+gains the new points without losing the ones a fresh clone's empty
+index never saw.
 """
 
 from __future__ import annotations
@@ -138,14 +138,29 @@ def refresh_bench_view(
     """(Re)index a runs root and rewrite one benchmark's view file.
 
     The whole pipeline behind ``BENCH_sweep.json``: fold new run dirs
-    into ``registry.sqlite``, derive the view, write it atomically.
-    Returns the written payload.
+    into ``registry.sqlite``, derive the view, merge in the history
+    already in ``out_path`` (deduplicated by run hash, ordered by
+    ``created_at``, ``latest`` from the newest point), write it
+    atomically.  Returns the written payload.
     """
     runs_root = Path(runs_root)
     with RegistryIndex.open(runs_root / DB_FILENAME) as index:
         index.index_root(runs_root)
         payload = bench_view_payload(index, benchmark)
     out_path = Path(out_path)
+    try:
+        previous = json.loads(out_path.read_text())
+    except (OSError, ValueError):
+        previous = {}
+    if previous.get("benchmark") == benchmark and "history" in previous:
+        points = {p["run"]: p for p in previous["history"] + payload["history"]}
+        history = sorted(
+            points.values(), key=lambda p: (p.get("created_at") or 0, p["run"])
+        )
+        if history[-1]["run"] != payload["latest_run"]:
+            payload["latest"] = previous["latest"]
+            payload["latest_run"] = previous["latest_run"]
+        payload.update(history=history, runs_indexed=len(history))
     tmp = out_path.with_name(out_path.name + ".tmp")
     tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     tmp.replace(out_path)

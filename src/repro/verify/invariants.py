@@ -24,6 +24,12 @@ finalize, so a silent divergence becomes a loud, replayable failure:
   inclusion for every policy (measured, not assumed), so the inclusion
   law is scoped, never assumed globally.
 
+* **MSS replay** (:func:`check_mss_replay`): after a trace replay every
+  good row was submitted, completed and counted once, the event heap is
+  drained, every resource is idle, and each request's timestamps follow
+  its lifecycle (arrival, MSCP grant, device grant, first byte,
+  completion).
+
 * **Recovery** (:func:`check_journal_recovery`): a recovered session
   must have applied a gap-free journal prefix -- snapshot + replayed
   tail exactly covers the intact frames.
@@ -524,6 +530,68 @@ class StackInvariantChecker:
                     "resident-count", capacity_index=k,
                     tracked=replay.resident_counts[k], actual=counts[k],
                 )
+
+
+# ---------------------------------------------------------------------------
+# MSS replay conservation laws
+
+
+def check_mss_replay(
+    system: Any,
+    batches: Sequence[Any],
+    requests: Sequence[Any],
+    *,
+    site: str = "mss.replay",
+) -> None:
+    """Laws a drained :class:`~repro.mss.system.MSSSystem` replay obeys.
+
+    Every non-error row became one request that the MSCP completed and
+    the metrics counted exactly once; the event heap is empty; every
+    resource is idle with an empty queue; and every request is COMPLETE
+    with ``arrival <= mscp_grant <= device_grant <= first_byte <=
+    completion``.
+    """
+    from repro.mss.request import Phase
+
+    counts = {
+        "good_rows": sum(int((batch.error == 0).sum()) for batch in batches),
+        "requests": len(requests),
+        "submitted": system.mscp.submitted,
+        "completed": system.mscp.completed,
+        "recorded": system.metrics.total_completed,
+    }
+    if len(set(counts.values())) != 1:
+        raise_violation("mss-request-conservation", site, counts)
+    next_event = system.sim.peek()
+    if next_event is not None:
+        raise_violation("mss-heap-drained", site, {"next_event": next_event})
+    resources = [
+        system.mscp._movers, system.operators._staff, system.silo._robots,
+        system.disk._channels, *system.disk._spindles,
+    ]
+    for library in (system.silo, system.shelf):
+        resources.extend(drive.gate for drive in library.drives)
+    for resource in resources:
+        if resource.in_use or resource.queue_length:
+            raise_violation("mss-resources-idle", site, {
+                "resource": resource.name, "in_use": resource.in_use,
+                "queued": resource.queue_length,
+            })
+    for request in requests:
+        times = (
+            request.arrival_time, request.mscp_grant_time,
+            request.device_grant_time, request.first_byte_time,
+            request.completion_time,
+        )
+        if (
+            request.phase is not Phase.COMPLETE
+            or None in times
+            or any(a > b for a, b in zip(times, times[1:]))
+        ):
+            raise_violation("mss-request-lifecycle", site, {
+                "request": request.request_id, "phase": request.phase.value,
+                "times": times,
+            })
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mss.kernel import Resource, SimulationError, Simulator
+from tests.oracles.kernel import Simulator as OracleSimulator
 
 
 def test_events_fire_in_time_order():
@@ -92,6 +93,110 @@ def test_arbitrary_delays_fire_sorted(delays):
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the production kernel against the dataclass-heap oracle
+
+
+class _Boom(Exception):
+    """Raised by a program's callback to interrupt ``run``/``step``."""
+
+
+#: Few distinct delays, zero among them, so tied fire times are common.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 7.25])
+
+
+def _event(children):
+    return st.fixed_dictionaries({
+        "delay": _DELAYS,
+        "absolute": st.booleans(),
+        "children": children,
+        "cancel": st.none() | st.integers(0, 60),
+        "raises": st.integers(0, 11).map(lambda k: k == 0),
+    })
+
+
+_EVENTS = st.recursive(
+    _event(st.just([])),
+    lambda events: _event(st.lists(events, max_size=3)),
+    max_leaves=6,
+)
+
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _EVENTS),
+    st.tuples(st.just("cancel"), st.integers(0, 60)),
+    st.just(("cancel-head",)),
+    st.tuples(st.just("run"), st.none() | _DELAYS),
+    st.just(("step",)),
+    st.just(("peek",)),
+)
+
+
+def _execute(sim, program):
+    """Run one program; returns everything observable about the kernel."""
+    log = []
+    handles = []
+    fired = set()
+
+    def schedule(spec):
+        label = len(handles)
+
+        def fire():
+            fired.add(label)
+            log.append(("fire", label, sim.now, sim.events_processed))
+            for child in spec["children"]:
+                schedule(child)
+            if spec["cancel"] is not None:
+                handles[spec["cancel"] % len(handles)].cancel()
+            if spec["raises"]:
+                raise _Boom(label)
+
+        if spec["absolute"]:
+            handles.append(sim.schedule_at(sim.now + spec["delay"], fire))
+        else:
+            handles.append(sim.schedule(spec["delay"], fire))
+
+    def guarded(action):
+        try:
+            return action()
+        except _Boom as exc:
+            return ("raised", exc.args[0])
+
+    for op in program:
+        kind = op[0]
+        if kind == "schedule":
+            schedule(op[1])
+        elif kind == "cancel" and handles:
+            handle = handles[op[1] % len(handles)]
+            handle.cancel()
+            log.append(("cancel", op[1] % len(handles), handle.time, handle.cancelled))
+        elif kind == "cancel-head":
+            pending = [
+                (handle.time, label)
+                for label, handle in enumerate(handles)
+                if label not in fired and not handle.cancelled
+            ]
+            if pending:
+                handles[min(pending)[1]].cancel()
+        elif kind == "run":
+            until = None if op[1] is None else sim.now + op[1]
+            log.append(("run", guarded(lambda: sim.run(until))))
+        elif kind == "step":
+            log.append(("step", guarded(sim.step)))
+        elif kind == "peek":
+            log.append(("peek", sim.peek()))
+        log.append(("clock", sim.now, sim.events_processed))
+    while guarded(sim.run) is not None:
+        log.append(("resume", sim.now, sim.events_processed))
+    log.append(("end", sim.peek(), sim.now, sim.events_processed))
+    return log
+
+
+@given(st.lists(_OPS, min_size=4, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_dataclass_oracle(program):
+    assert _execute(Simulator(), program) == _execute(OracleSimulator(), program)
 
 
 # ---------------------------------------------------------------------------

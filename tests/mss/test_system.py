@@ -1,8 +1,11 @@
 """MSCP, network topology, metrics, and full-system replay tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.engine.batch import DEVICE_ORDER, EventBatch
 from repro.mss.metrics import MetricsCollector
 from repro.mss.network import ncar_topology
 from repro.mss.request import MSSRequest
@@ -151,3 +154,60 @@ def test_metrics_empty_cell():
     assert collector.cell(Device.TAPE_SILO, True).startup.count == 0
     with pytest.raises(ValueError):
         collector.device_cdf(Device.TAPE_SILO)
+
+
+# ---------------------------------------------------------------------------
+# Exact pin of the whole MSS path
+
+
+def _golden_batch():
+    """A fixed, generator-independent request stream for the digest pin.
+
+    Bursts of simultaneous arrivals overrun the twelve bitfile movers,
+    tape-heavy device mix and shared directories force cartridge mounts
+    as well as mount hits, and a few error rows are passed through.
+    """
+    rng = np.random.default_rng(1993)
+    n = 900
+    gaps = rng.exponential(40.0, n)
+    gaps[rng.random(n) < 0.35] = 0.0  # tied arrivals
+    file_id = rng.integers(0, 400, n).astype(np.int64)
+    return EventBatch(
+        file_id=file_id,
+        size=rng.integers(1, 64 * MB, n).astype(np.int64),
+        time=np.cumsum(gaps),
+        is_write=rng.random(n) < 0.3,
+        device=rng.choice(3, n, p=[0.4, 0.4, 0.2]).astype(np.int8),
+        error=(rng.random(n) < 0.03).astype(np.int8),
+    )
+
+
+def _golden_path(file_id):
+    return f"/u/dir{file_id % 23}/hist{file_id:04d}"
+
+
+#: sha256 of the golden replay's ``latency``/``transfer`` columns and every
+#: metrics cell's ``(count, total, mount.total)``, computed with the
+#: dataclass-heap kernel that ``tests/oracles/kernel.py`` preserves.
+GOLDEN_REPLAY_DIGEST = (
+    "00c3dac74df4c0b1dc5bea51052f752609e006073c95a3dcb33c81dee3cb2f65"
+)
+
+
+def test_replay_columns_golden_digest():
+    system = MSSSystem(MSSConfig(seed=11))
+    (replayed,), metrics = system.replay_columns([_golden_batch()], _golden_path)
+    assert system.silo.mounts_performed and system.silo.mount_hits
+    assert system.shelf.mounts_performed
+    assert system.mscp.mover_queue_wait > 0
+    digest = hashlib.sha256()
+    digest.update(replayed.latency.tobytes())
+    digest.update(replayed.transfer.tobytes())
+    for device in DEVICE_ORDER:
+        for is_write in (False, True):
+            cell = metrics.cell(device, is_write)
+            digest.update(repr((
+                device.value, is_write, cell.startup.count,
+                cell.startup.total, cell.mount.total,
+            )).encode())
+    assert digest.hexdigest() == GOLDEN_REPLAY_DIGEST

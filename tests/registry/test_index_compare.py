@@ -219,3 +219,38 @@ def test_bench_history_and_trajectory(tmp_path, index):
 def test_open_existing_requires_a_database(tmp_path):
     with pytest.raises(RegistryError, match="runs index"):
         RegistryIndex.open_existing(tmp_path / DB_FILENAME)
+
+
+def test_bench_view_merges_committed_history(tmp_path):
+    from repro.registry.views import refresh_bench_view
+
+    out = tmp_path / "BENCH_sweep.json"
+    committed = tmp_path / "committed-runs"
+    for speedup, created_at in ((3.0, 10.0), (3.5, 20.0), (4.0, 30.0)):
+        record_bench_run(
+            committed, "stackdist_sweep", {"speedup": speedup},
+            created_at=created_at,
+        )
+    assert len(refresh_bench_view(committed, "stackdist_sweep", out)["history"]) == 3
+
+    # A fresh clone: an empty runs root plus one new bench run.
+    fresh = tmp_path / "fresh-runs"
+    record_bench_run(fresh, "stackdist_sweep", {"speedup": 5.0}, created_at=40.0)
+    view = refresh_bench_view(fresh, "stackdist_sweep", out)
+    assert [point["speedup"] for point in view["history"]] == [3.0, 3.5, 4.0, 5.0]
+    assert view["latest"]["speedup"] == 5.0
+    assert view["latest_run"] == view["history"][-1]["run"]
+    assert json.loads(out.read_text()) == view
+    # Re-running adds nothing.
+    assert refresh_bench_view(fresh, "stackdist_sweep", out) == view
+
+    # A point older than the committed newest slots in by created_at and
+    # leaves ``latest`` on the newest point.
+    older = tmp_path / "older-runs"
+    record_bench_run(older, "stackdist_sweep", {"speedup": 2.0}, created_at=15.0)
+    view = refresh_bench_view(older, "stackdist_sweep", out)
+    assert [point["speedup"] for point in view["history"]] == [
+        3.0, 2.0, 3.5, 4.0, 5.0,
+    ]
+    assert view["latest"]["speedup"] == 5.0
+    assert view["runs_indexed"] == 5

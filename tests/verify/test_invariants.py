@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.engine.batch import DEVICE_ORDER, EventBatch
 from repro.engine.replay import replay_policy
 from repro.engine.stackdist import multi_capacity_replay
 from repro.hsm.cache import CacheConfig, ManagedDiskCache
 from repro.migration.registry import make_policy
+from repro.mss.system import MSSConfig, MSSSystem
 from repro.serve.session import JournaledSession, ReplaySession, SessionSpec
 from repro.verify import (
     HSMInvariantChecker,
@@ -24,7 +27,8 @@ from repro.verify import (
     load_quarantine_bundle,
 )
 from repro.verify.diff import replay_bundle
-from repro.verify.invariants import mask_is_suffix
+from repro.verify.invariants import check_mss_replay, mask_is_suffix
+from tests.mss.test_system import _golden_batch, _golden_path
 from tests.serve.conftest import synth_chunks
 from tests.verify.conftest import clean_stream
 
@@ -174,6 +178,76 @@ def test_journal_gap_raises(invariants_on):
         check_journal_recovery("s", 7, 5, 5)
     assert excinfo.value.law == "journal-snapshot-ahead"
     check_journal_recovery("s", 2, 5, 5)  # clean recovery passes
+
+
+def test_mss_replay_passes_under_invariants(invariants_on):
+    system = MSSSystem(MSSConfig(seed=11))
+    _, metrics = system.replay_columns([_golden_batch()], _golden_path)
+    assert metrics.total_completed == system.mscp.completed
+    assert not any(invariants_on.glob("violation-*"))
+
+
+def test_dropped_mss_completion_trips_the_replay_check(invariants_on):
+    system = MSSSystem(MSSConfig(seed=11))
+    record = system.metrics.record
+    seen = []
+
+    def drop_the_tenth(request):
+        seen.append(request)
+        if len(seen) != 10:
+            record(request)
+
+    system.metrics.record = drop_the_tenth
+    with pytest.raises(InvariantViolation) as excinfo:
+        system.replay_columns([_golden_batch()], _golden_path)
+    assert excinfo.value.law == "mss-request-conservation"
+    assert excinfo.value.site == "mss.replay"
+    assert excinfo.value.bundle is not None
+
+
+def _drained_mss(n=60):
+    """A replay driven request by request: (system, batch, requests)."""
+    rng = np.random.default_rng(4)
+    batch = EventBatch(
+        file_id=np.arange(n, dtype=np.int64),
+        size=rng.integers(1, 8 * 1024 * 1024, n).astype(np.int64),
+        time=np.sort(rng.uniform(0.0, 600.0, n)),
+        is_write=rng.random(n) < 0.3,
+        device=(np.arange(n) % 3).astype(np.int8),
+        error=np.zeros(n, dtype=np.int8),
+    )
+    system = MSSSystem(MSSConfig(seed=2))
+    requests = [
+        system.submit(
+            f"/u/d{fid % 5}/f{fid}", size, is_write, DEVICE_ORDER[device],
+            when=time,
+        )
+        for fid, size, time, is_write, device in zip(
+            batch.file_id.tolist(), batch.size.tolist(), batch.time.tolist(),
+            batch.is_write.tolist(), batch.device.tolist(),
+        )
+    ]
+    system.run()
+    return system, batch, requests
+
+
+@pytest.mark.parametrize("tamper, law", [
+    ("heap", "mss-heap-drained"),
+    ("resource", "mss-resources-idle"),
+    ("lifecycle", "mss-request-lifecycle"),
+])
+def test_tampered_mss_state_trips_its_law(invariants_on, tamper, law):
+    system, batch, requests = _drained_mss()
+    check_mss_replay(system, [batch], requests)
+    if tamper == "heap":
+        system.sim.schedule(1.0, lambda: None)
+    elif tamper == "resource":
+        system.disk._channels.acquire(lambda: None)
+    else:
+        requests[7].device_grant_time = requests[7].completion_time + 1.0
+    with pytest.raises(InvariantViolation) as excinfo:
+        check_mss_replay(system, [batch], requests)
+    assert excinfo.value.law == law
 
 
 def test_mask_is_suffix():
